@@ -24,6 +24,12 @@ List endpoints take ``?limit=`` (default 50, max 500) and
 through the reporter registry, so its bytes equal ``repro report`` on
 the equivalently merged snapshot (invariant 11).
 
+Connections are HTTP/1.1 keep-alive.  No response may wait on Nagle's
+algorithm plus the client's delayed ACK: ``_Handler`` writes headers
+and body separately, so the handler sets ``TCP_NODELAY``
+(``disable_nagle_algorithm``) on every accepted socket — without it,
+each GET after the first on a connection shows a ~40 ms floor.
+
 No third-party runtime dependency is introduced: everything is
 :mod:`http.server`, :mod:`json`, and :mod:`urllib.parse`.
 """
@@ -104,6 +110,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "WarehouseServer"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: without it keep-alive responses stall on the client's
+    # delayed ACK (see the module docstring).
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
 

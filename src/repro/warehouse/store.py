@@ -162,8 +162,13 @@ def snapshot_digest(data: Dict[str, Any]) -> str:
 
     Computed over the compact canonical JSON of the snapshot dict —
     byte-equivalent studies (same counters, same insertion order)
-    digest equal no matter which file or machine they came from.
+    digest equal no matter which file or machine they came from.  The
+    ``pass_profile`` (wall-clock timings, different on every profiled
+    run) hashes as ``null``, so a re-shipped profiled snapshot is
+    recognised too; unprofiled digests are unaffected.
     """
+    if data.get("pass_profile") is not None:
+        data = {**data, "pass_profile": None}
     canonical = json.dumps(data, separators=(",", ":"), sort_keys=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -14,6 +14,7 @@ The contract under test (ISSUE 9 acceptance criteria):
   a one-line message and exit 2), never a traceback.
 """
 
+import hashlib
 import json
 import sqlite3
 
@@ -21,11 +22,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.passes import PASS_NAMES
+from repro.analysis.snapshot import study_to_dict
 from repro.api import analyze_corpora, open_warehouse
 from repro.cli import main
 from repro.exceptions import ReproError, WarehouseError
 from repro.reporting import render_report
 from repro.warehouse import WAREHOUSE_SCHEMA_VERSION, StudyWarehouse
+from repro.warehouse.store import snapshot_digest
 
 QUERY_POOL = [
     "SELECT ?x WHERE { ?x <urn:p> ?y }",
@@ -73,6 +76,29 @@ class TestIngest:
             assert handle.ingest(study_b) == "merged"
             assert handle.ingest(study_a) == "unchanged"
             assert handle.generation == 2
+
+    def test_profiled_snapshots_of_one_log_ingest_once(self, tmp_path):
+        """Pass timings differ run to run; they must not make a re-shipped
+        profiled snapshot look new (it would count every entry twice)."""
+        corpus = {"alpha": QUERY_POOL + QUERY_POOL[:4]}
+        first = analyze_corpora(corpus, metrics=ALL_METRICS, profile=True).study
+        second = analyze_corpora(corpus, metrics=ALL_METRICS, profile=True).study
+        second.pass_profile.seconds["shallow"] = 1e6
+        plain = build_study(corpus)
+        with StudyWarehouse.open(tmp_path / "w.db") as handle:
+            assert handle.ingest(first) == "merged"
+            assert handle.ingest(second) == "unchanged"
+            assert handle.ingest(plain) == "unchanged"
+            assert handle.study().datasets["alpha"].total == len(corpus["alpha"])
+
+    def test_unprofiled_digest_is_the_plain_json_hash(self, shard_studies):
+        """Digests of unprofiled snapshots keep their original bytes, so
+        existing warehouses still recognise what they hold."""
+        data = study_to_dict(shard_studies[0])
+        assert data["pass_profile"] is None
+        canonical = json.dumps(data, separators=(",", ":"))
+        expected = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert snapshot_digest(data) == expected
 
     def test_incremental_equals_merged(self, tmp_path, shard_studies):
         study_a, study_b = shard_studies

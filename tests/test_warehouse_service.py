@@ -1,13 +1,18 @@
 """Tests for the warehouse HTTP service (``repro serve``).
 
-Each test drives a live ``WarehouseServer`` on an ephemeral port with
-stdlib ``urllib`` — the same stack a CI smoke job uses.  The headline
-contract: ``GET /report`` returns byte-for-byte what ``repro report``
-prints for the equivalently merged snapshot.
+Each test drives a live ``WarehouseServer`` on an ephemeral port.  Most
+use stdlib ``urllib``, which opens a fresh connection per request — the
+same stack a CI smoke job uses.  ``TestKeepAlive`` reuses one
+``http.client`` connection instead, the way a long-lived client does.
+The headline contract: ``GET /report`` returns byte-for-byte what
+``repro report`` prints for the equivalently merged snapshot.
 """
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -144,6 +149,37 @@ class TestEndpoints:
         assert status == 200
         assert page["total"] > 0
         assert all("urn" in row["text"] for row in page["items"])
+
+
+class TestKeepAlive:
+    PATHS = [
+        "/tables/1",
+        "/datasets",
+        "/report",
+        "/search?q=SELECT",
+        "/streaks",
+        "/caveats",
+    ]
+
+    def test_reused_connection_has_no_delayed_ack_floor(self, server):
+        """Headers and body leave in two writes; with Nagle on, the body
+        waits for the client's delayed ACK (~40 ms) on every response
+        after the first on a connection."""
+        connection = http.client.HTTPConnection(*server.server_address, timeout=10)
+        latencies = []
+        try:
+            for index in range(30):
+                path = self.PATHS[index % len(self.PATHS)]
+                started = time.perf_counter()
+                connection.request("GET", path)
+                response = connection.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200, path
+                assert not response.will_close, path
+        finally:
+            connection.close()
+        assert statistics.median(latencies[2:]) < 0.020
 
 
 class TestErrors:
