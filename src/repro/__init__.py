@@ -101,7 +101,7 @@ from .workload import (
     generate_workload,
 )
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AnalysisRequest",

@@ -88,12 +88,11 @@ from ..logs.sources import (
     detect_format,
     source_paths,
 )
-from .context import AnalysisOptions
-from .parallel import build_query_logs_parallel
-from .passes import resolve_passes, run_passes, sequence_only_selection
+from .context import AnalysisOptions, StructureCache
+from .parallel import build_query_logs_parallel, measure_chunk
+from .passes import resolve_passes, sequence_only_selection
 from .snapshot import save_study, study_from_dict, study_to_dict
-from .structure_store import StoreBackedStructureCache, open_structure_cache
-from .study import CorpusStudy, DatasetStats, _claim_streaks
+from .study import CorpusStudy, _claim_streaks
 
 __all__ = [
     "CHECKPOINT_KIND",
@@ -568,40 +567,19 @@ class WatchSession:
         the measured stream is the slice's *first-ever* occurrences —
         concatenated over cycles that is the one-shot unique stream, in
         order, which is what makes checkpoint ≡ one-shot exact.
-        Mirrors the serial body of
-        :func:`repro.analysis.study.study_corpus`.
         """
-        passes = resolve_passes(self.options.metrics)
-        cache = open_structure_cache(self.options)
-        study = CorpusStudy(dedup=True)
-        try:
-            seen = self._seen.setdefault(name, set())
-            fresh: List[ParsedQuery] = []
-            for parsed in log.unique_queries():
-                digest = _text_digest(parsed.text)
-                if digest in seen:
-                    continue
+        seen = self._seen.setdefault(name, set())
+        fresh: List[ParsedQuery] = []
+        for parsed in log.unique_queries():
+            digest = _text_digest(parsed.text)
+            if digest not in seen:
                 seen.add(digest)
                 fresh.append(parsed)
-            stats = DatasetStats(
-                name=name,
-                total=log.total,
-                valid=log.valid,
-                unique=len(fresh),
-                streaks=_claim_streaks(name, log),
-            )
-            study.datasets[name] = stats
-            for parsed in fresh:
-                run_passes(
-                    study,
-                    stats,
-                    parsed,
-                    1,
-                    passes=passes,
-                    options=self.options,
-                    cache=cache,
-                )
-        finally:
-            if isinstance(cache, StoreBackedStructureCache):
-                cache.close()
+        study = measure_chunk(
+            name, fresh, options=self.options,
+            cache=StructureCache(self.options.cache_size),
+        )
+        stats = study.datasets[name]
+        stats.total, stats.valid, stats.unique = log.total, log.valid, len(fresh)
+        stats.streaks = _claim_streaks(name, log)
         return study

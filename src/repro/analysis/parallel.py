@@ -11,10 +11,10 @@ combined in stream order through the mergeable accumulators
 :class:`~repro.analysis.study.DatasetStats`,
 :class:`~repro.analysis.study.CorpusStudy`):
 
-* :func:`build_query_log_parallel` — clean → parse → dedup over chunks
-  of raw entries.  Deduplication is two-phase: each shard builds its
-  own text → count map and the maps are merged in stream order before
-  the unique stream is materialized.
+* :func:`build_query_logs_parallel` — clean → parse → dedup over
+  chunks of raw entries.  Deduplication is two-phase: each shard
+  builds its own text → count map and the maps are merged in stream
+  order before the unique stream is materialized.
 * :func:`study_corpus_parallel` — the full corpus study over chunks of
   the (already deduplicated) per-dataset query streams.
 
@@ -24,6 +24,19 @@ Both accept plain iterators — e.g. the lazy file sources of
 peak ingestion memory is O(workers × chunk_size), not O(log size).
 (The deduplicated unique set is accumulated by design — it *is* the
 result — so total memory is chunk window + unique state.)
+
+Each driver has exactly two executors and picks one from what it can
+observe — there is no option to choose:
+
+* **in-process** when ``workers == 1`` or the input turns out to hold at
+  most one chunk: chunks run in the calling process against run-local
+  caches (one :class:`~repro.logs.pipeline.ParseCache`, one
+  :class:`~repro.analysis.context.StructureCache`), with no pickling
+  and no transport recorded;
+* **pool** otherwise: chunks are submitted to a persistent
+  :class:`WorkerPool` — the caller's (an
+  :class:`~repro.api.AnalysisSession` keeps one), or a temporary one
+  that lives for the call.
 
 The parallel runtime itself is built from four reusable pieces:
 
@@ -35,8 +48,8 @@ The parallel runtime itself is built from four reusable pieces:
 * adaptive chunk sizing (:func:`adaptive_chunk_sizes`) — chunks start
   small and grow geometrically toward ~``_TARGET_CHUNKS_PER_WORKER``
   chunks per worker, so tiny corpora stay near serial cost and huge
-  corpora amortize IPC.  ``workers=1`` collapses to one chunk (the
-  serial scan); explicit ``chunk_size`` still pins a fixed size.
+  corpora amortize IPC.  ``workers=1`` collapses to one chunk per
+  dataset; explicit ``chunk_size`` still pins a fixed size.
 * compact shard transport — pool workers serialize their results
   themselves and return ``bytes``: pre-reduced payloads (counter
   deltas, streak boundary state, fully reduced partial studies — never
@@ -48,11 +61,9 @@ The parallel runtime itself is built from four reusable pieces:
   Every accumulator merge here is associative, so the merge tree's
   shape can never change a byte (property-tested).
 
-Chunks are always merged in stream order, so both drivers are
-guaranteed to reproduce the serial result exactly — including counter
-key order, which breaks ties in table rendering.  ``workers=1`` (or a
-single chunk) never touches :mod:`multiprocessing`: it runs the same
-chunked code path serially, lazily, and deterministically in-process.
+Chunks are always merged in stream order, so both executors reproduce
+the one-pass result exactly — including counter key order, which
+breaks ties in table rendering.
 """
 
 from __future__ import annotations
@@ -60,11 +71,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import threading
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import chain, islice, repeat
 from time import perf_counter
 from typing import (
@@ -182,7 +192,7 @@ def adaptive_chunk_sizes(
     instead, keeping the memory bound that streaming mode promises.
 
     ``workers == 1`` yields the whole (sized) input as one chunk: the
-    driver's collapse path then runs it serially with zero chunking or
+    driver's in-process executor then runs it with zero chunking or
     merge overhead.  The schedule depends only on ``(total, workers)``,
     never on timing, so chunk boundaries — and therefore merge trees —
     are deterministic.
@@ -257,8 +267,8 @@ class TransportStats:
     :class:`~repro.api.AnalysisSession` does, folding the totals into
     the run's :class:`~repro.analysis.passes.PassProfile`).  A chunk
     counts as *shipped* when its result crossed the pool boundary as a
-    serialized payload; in-process paths (``workers=1``, single-chunk
-    collapse without a pool) ship nothing.
+    serialized payload; the in-process executor (``workers=1``, or an
+    input of at most one chunk) ships nothing.
     """
 
     #: Chunk results that came back as serialized payloads.
@@ -275,18 +285,28 @@ class TransportStats:
         profile.merge_seconds += self.merge_seconds
 
 
+def _receive(result: object, transport: Optional[TransportStats]) -> object:
+    """A chunk result as an object: pool results arrive pickled (and
+    count as shipped), in-process results pass through untouched."""
+    if not isinstance(result, bytes):
+        return result
+    if transport is not None:
+        transport.chunks_shipped += 1
+        transport.shipped_bytes += len(result)
+    return pickle.loads(result)
+
+
 class WorkerPool:
     """A persistent worker pool, reused across datasets, corpora and runs.
 
-    The per-call drivers spin a pool up and tear it down per invocation
-    — correct, but a session analyzing many corpora pays the process
+    A driver called without one opens a temporary pool for the call —
+    correct, but a session analyzing many corpora would pay the process
     start-up cost every time.  A ``WorkerPool`` owns one
     :class:`~concurrent.futures.ProcessPoolExecutor` (fork context
     where available), created lazily on first submit and kept until
     :meth:`close`.
 
-    Workers of a persistent pool keep *keyed* state instead of
-    initializer-built globals, because one pool serves runs with
+    Workers keep *keyed* state, because one pool serves runs with
     different configurations: parse caches are keyed by prefix
     environment (a :class:`~repro.logs.pipeline.ParseCache` is pinned
     to one), structure caches by the option fields they depend on.
@@ -334,27 +354,12 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 
 
-#: Per-worker parse cache, created by the pool initializer so it lives
-#: for the whole pool: duplicates recurring across a worker's chunks are
-#: parsed once.  In the parent it is only ever set by the collapsed
-#: (<= 1 payload) serial fallback, which re-runs the initializer first —
-#: each run gets a fresh cache, so prefix environments can't leak
-#: between runs.  (Per-call pools only; persistent-pool workers use the
-#: keyed caches below.)
-_WORKER_PARSE_CACHE: Optional[ParseCache] = None
-
-
-def _init_parse_worker() -> None:
-    global _WORKER_PARSE_CACHE
-    _WORKER_PARSE_CACHE = ParseCache()
-
-
-#: Keyed per-worker caches for persistent pools.  A ParseCache is
+#: Keyed per-worker parse caches of pool workers.  A ParseCache is
 #: pinned to one prefix environment (it raises on a mismatch), so a
 #: pool worker serving many runs keeps one cache per environment.
 _POOL_PARSE_CACHES: Dict[object, ParseCache] = {}
 
-#: Keyed per-worker structure caches for persistent pools, one per
+#: Keyed per-worker structure caches of pool workers, one per
 #: (cache_size, structure_cache_path) — the option fields the cache is
 #: built from.  Warm entries surviving across runs is exactly the
 #: cache-transparency invariant: results never change, only timings.
@@ -446,10 +451,10 @@ def _ingest_scored(
     would silently vanish from the parent's numbers (under-reporting
     ``dp_skip_rate`` in profiled sharded runs).  The capture is
     transactional — snapshot, scan, delta, restore — so a chunk counts
-    exactly once whether it ran on a worker or (the collapsed or
-    ``workers=1`` fallbacks) in the parent process itself, where the
-    parent later :meth:`adds <repro.analysis.streaks
-    .SimilarityCounters.add>` the shipped delta unconditionally.
+    exactly once whether it ran on a worker or (the in-process
+    executor) in the parent process itself, where the parent later
+    :meth:`adds <repro.analysis.streaks.SimilarityCounters.add>` the
+    shipped delta unconditionally.
     """
     if options is None:
         return name, _ingest_chunk(texts, extra_prefixes, None, cache), None
@@ -461,21 +466,6 @@ def _ingest_scored(
     return name, shard, delta
 
 
-def _parse_chunk(
-    payload: Tuple[
-        str,
-        List[str],
-        Optional[Dict[str, str]],
-        Optional[AnalysisOptions],
-        Optional[List[str]],
-    ],
-) -> Tuple[str, LogShard, Optional[Dict[str, int]]]:
-    name, texts, extra_prefixes, options, lookahead = payload
-    return _ingest_scored(
-        name, texts, extra_prefixes, options, lookahead, _WORKER_PARSE_CACHE
-    )
-
-
 def _pool_parse_chunk(
     payload: Tuple[
         str,
@@ -485,7 +475,7 @@ def _pool_parse_chunk(
         Optional[List[str]],
     ],
 ) -> bytes:
-    """Persistent-pool ingestion worker: keyed cache, pre-pickled result.
+    """Pool ingestion worker: keyed cache, pre-pickled result.
 
     Returning ``bytes`` makes the transport explicit: the parent counts
     exactly ``len(result)`` shipped bytes per chunk, and the executor's
@@ -497,37 +487,10 @@ def _pool_parse_chunk(
     return pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
 
 
-#: Per-worker structural-signature cache, created by the pool
-#: initializer so it lives for the whole pool: recurring query shapes
-#: across a worker's chunks reuse their shape/treewidth/hypertree
-#: results.  Bounded LRU, so per-worker memory stays O(cache_size) and
-#: the O(workers × chunk) ingestion invariant holds.  Stays ``None`` in
-#: the parent (the serial paths build run-local caches instead).
-_WORKER_STRUCTURE_CACHE: Optional[StructureCache] = None
-
-
-def _init_measure_worker(options: AnalysisOptions) -> None:
-    # Workers attach to the persistent structure store (if configured)
-    # read-only: the parent is the only writer, flushing the pending
-    # rows the workers ship back alongside their partial studies.
-    global _WORKER_STRUCTURE_CACHE
-    _WORKER_STRUCTURE_CACHE = open_structure_cache(options, readonly=True)
-
-
-def _measure_chunk(
-    payload: Tuple[str, List[ParsedQuery], bool, AnalysisOptions],
-) -> Tuple[CorpusStudy, List[Tuple[str, str, str]]]:
-    dataset, queries, dedup, options = payload
-    study = measure_chunk(
-        dataset, queries, dedup=dedup, options=options, cache=_WORKER_STRUCTURE_CACHE
-    )
-    return study, pending_rows(_WORKER_STRUCTURE_CACHE)
-
-
 def _pool_measure_chunk(
     payload: Tuple[str, List[ParsedQuery], bool, AnalysisOptions],
 ) -> bytes:
-    """Persistent-pool measure worker: compact, pre-reduced transport.
+    """Pool measure worker: compact, pre-reduced transport.
 
     What comes back is the fully reduced partial study — plain counters
     and histograms, a couple of KB regardless of chunk size — never the
@@ -541,36 +504,6 @@ def _pool_measure_chunk(
         dataset, queries, dedup=dedup, options=options, cache=cache
     )
     return pickle.dumps((study, pending_rows(cache)), pickle.HIGHEST_PROTOCOL)
-
-
-#: Logs shared with fork-started measure workers through inherited
-#: memory: the measure phase always runs over *materialized*
-#: :class:`QueryLog` objects, so index slices — not chunks of recursive
-#: AST object graphs — are what crosses the process boundary.  Set (and
-#: held, under the lock) for the whole drain of one
-#: :func:`study_corpus_parallel` run, because pool workers fork lazily
-#: on first submit; cleared right after.  The lock serializes
-#: concurrent runs in one process so a second thread can't swap the
-#: global between another run's fork and its submits.  (Per-call pools
-#: only: a persistent pool forked long before this run's logs existed,
-#: so its workers receive query chunks instead.)
-_SHARED_LOGS: Optional[Mapping[str, QueryLog]] = None
-_SHARED_LOGS_LOCK = threading.Lock()
-
-
-def _measure_slice(
-    payload: Tuple[str, int, int, bool, AnalysisOptions],
-) -> Tuple[CorpusStudy, List[Tuple[str, str, str]]]:
-    name, start, stop, dedup, options = payload
-    assert _SHARED_LOGS is not None
-    study = measure_chunk(
-        name,
-        _SHARED_LOGS[name].parsed[start:stop],
-        dedup=dedup,
-        options=options,
-        cache=_WORKER_STRUCTURE_CACHE,
-    )
-    return study, pending_rows(_WORKER_STRUCTURE_CACHE)
 
 
 def measure_chunk(
@@ -628,7 +561,6 @@ def imap_bounded(
     payloads: Iterable[_Payload],
     workers: int,
     *,
-    initializer: Optional[Callable[[], None]] = None,
     max_inflight: Optional[int] = None,
     pool: Optional[WorkerPool] = None,
 ) -> Iterator[_Result]:
@@ -642,13 +574,10 @@ def imap_bounded(
     which is what makes merge-in-stream-order reproducible.
 
     ``workers=1`` — or a stream that turns out to hold at most one
-    payload — is the deterministic serial fallback: same code path,
-    same order, fully lazy, no :mod:`multiprocessing` and no pickling.
-
-    *pool* submits to a persistent :class:`WorkerPool` instead of
-    spinning up (and tearing down) a per-call executor; *worker_fn*
-    must then manage its own worker-side state (*initializer* is for
-    per-call pools, whose single configuration it pins).
+    payload — runs *worker_fn* in-process: same order, fully lazy, no
+    :mod:`multiprocessing` and no pickling.  Otherwise payloads go to
+    *pool*, or to a temporary :class:`WorkerPool` that lives as long
+    as the returned iterator.
 
     *workers* is validated eagerly, at the call site rather than from
     inside the pool mid-stream (callers resolve 0/None via
@@ -656,69 +585,43 @@ def imap_bounded(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return _imap_bounded(
-        worker_fn,
-        payloads,
-        workers,
-        initializer=initializer,
-        max_inflight=max_inflight,
-        pool=pool,
-    )
+    return _execute(worker_fn, worker_fn, payloads, workers, max_inflight, pool)
 
 
-def _imap_bounded(
-    worker_fn: Callable[[_Payload], _Result],
+def _execute(
+    local_fn: Callable[[_Payload], _Result],
+    pool_fn: Callable[[_Payload], object],
     payloads: Iterable[_Payload],
     workers: int,
-    *,
-    initializer: Optional[Callable[[], None]],
-    max_inflight: Optional[int],
-    pool: Optional[WorkerPool],
-) -> Iterator[_Result]:
+    max_inflight: Optional[int] = None,
+    pool: Optional[WorkerPool] = None,
+) -> Iterator[object]:
+    """The two executors: *local_fn* in-process, or *pool_fn* on a pool.
+
+    In-process when ``workers == 1`` or *payloads* turns out to hold at
+    most one item; on *pool* (or a temporary :class:`WorkerPool`)
+    otherwise, with at most *max_inflight* payloads in flight.
+    """
     iterator = iter(payloads)
-    collapsed = False
-    if workers != 1:
+    if workers > 1:
         head = list(islice(iterator, 2))
+        iterator = chain(head, iterator)
         if len(head) > 1:
-            iterator = chain(head, iterator)
-        else:
-            iterator, workers, collapsed = iter(head), 1, True
-    if workers == 1:
-        if collapsed and initializer is not None:
-            # A multi-worker run that turned out to hold <= 1 payload
-            # executes the worker fn in-process; run its initializer
-            # here so worker-global state (per-worker caches) exists
-            # exactly as it would inside a pool.  (Pool worker fns need
-            # no initializer — their keyed state builds itself.)
-            initializer()
-        for payload in iterator:
-            yield worker_fn(payload)
-        return
-    if max_inflight is None:
-        max_inflight = workers * _CHUNKS_PER_WORKER
-    max_inflight = max(max_inflight, workers)
-    if pool is not None:
-        executor = pool.executor()
-        pending: deque = deque()
-        for payload in iterator:
-            pending.append(executor.submit(worker_fn, payload))
-            if len(pending) >= max_inflight:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-        return
-    context = _fork_context()
-    kwargs = {} if context is None else {"mp_context": context}
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, **kwargs
-    ) as executor:
-        per_call_pending: deque = deque()
-        for payload in iterator:
-            per_call_pending.append(executor.submit(worker_fn, payload))
-            if len(per_call_pending) >= max_inflight:
-                yield per_call_pending.popleft().result()
-        while per_call_pending:
-            yield per_call_pending.popleft().result()
+            if max_inflight is None:
+                max_inflight = workers * _CHUNKS_PER_WORKER
+            max_inflight = max(max_inflight, workers)
+            with WorkerPool(workers) if pool is None else nullcontext(pool) as active:
+                executor = active.executor()
+                pending: deque = deque()
+                for payload in iterator:
+                    pending.append(executor.submit(pool_fn, payload))
+                    if len(pending) >= max_inflight:
+                        yield pending.popleft().result()
+                while pending:
+                    yield pending.popleft().result()
+            return
+    for payload in iterator:
+        yield local_fn(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -836,15 +739,16 @@ def build_query_logs_parallel(
 ) -> Dict[str, QueryLog]:
     """Streaming clean → parse → dedup over a whole corpus of raw logs.
 
-    All datasets share one worker pool, so small logs don't each pay
-    the pool start-up cost — and with *pool* (a persistent
+    All datasets share one executor, so small logs don't each pay the
+    pool start-up cost — and with *pool* (a persistent
     :class:`WorkerPool`) not even this run pays it.  Corpus values may
     be lists *or* lazy iterators (e.g.
     :func:`repro.logs.sources.iter_entries`); either way the stream is
     chunked lazily (adaptive sizes unless *chunk_size* pins one) and
     consumed with bounded in-flight chunks.  Per dataset, shards reduce
     through a pairwise merge tree in stream order: the result is
-    identical to the serial pipeline.  *transport* (when given)
+    identical to :func:`~repro.logs.pipeline.process_entries` over the
+    whole stream.  *transport* (when given)
     receives the shipped-bytes and merge-time accounting.
 
     *options* selects sequence passes (``metrics`` containing
@@ -898,37 +802,24 @@ def build_query_logs_parallel(
             if held is not None:
                 yield (name, held, extra_prefixes, options, None)
 
-    use_pool: Optional[WorkerPool] = None
-    if workers == 1:
-        # In-process: share one run-local parse cache across all chunks
-        # and datasets, like the serial pipeline — duplicate-heavy logs
-        # parse O(unique) texts, not O(total).  Run-local (not module
-        # state), so successive runs can't leak prefix environments.
-        cache = ParseCache()
+    # The in-process executor shares one run-local parse cache across
+    # all chunks and datasets — duplicate-heavy logs parse O(unique)
+    # texts, not O(total).  Run-local (not module state), so successive
+    # runs can't leak prefix environments.
+    cache = ParseCache()
 
-        def parse_chunk(payload):
-            """Parse one chunk in-process, sharing the run-local cache."""
-            name, texts, prefixes, chunk_options, lookahead = payload
-            return _ingest_scored(name, texts, prefixes, chunk_options, lookahead, cache)
-
-        worker_fn, initializer = parse_chunk, None
-    elif pool is not None:
-        worker_fn, initializer, use_pool = _pool_parse_chunk, None, pool
-    else:
-        worker_fn, initializer = _parse_chunk, _init_parse_worker
+    def parse_local(payload):
+        """Parse one chunk in-process, sharing the run-local cache."""
+        name, texts, prefixes, chunk_options, lookahead = payload
+        return _ingest_scored(name, texts, prefixes, chunk_options, lookahead, cache)
 
     mergers: Dict[str, _TreeMerger] = {
         name: _TreeMerger(_merge_pair) for name in corpora
     }
-    for result in imap_bounded(
-        worker_fn, payloads(), workers, initializer=initializer, pool=use_pool
+    for result in _execute(
+        parse_local, _pool_parse_chunk, payloads(), workers, pool=pool
     ):
-        if isinstance(result, bytes):
-            if transport is not None:
-                transport.chunks_shipped += 1
-                transport.shipped_bytes += len(result)
-            result = pickle.loads(result)
-        name, shard, counter_delta = result
+        name, shard, counter_delta = _receive(result, transport)
         started = perf_counter()
         mergers[name].push(shard)
         if transport is not None:
@@ -968,7 +859,7 @@ def build_query_log_parallel(
     pool: Optional[WorkerPool] = None,
     transport: Optional[TransportStats] = None,
 ) -> QueryLog:
-    """Streaming clean → parse → dedup, identical to the serial pipeline."""
+    """:func:`build_query_logs_parallel` over a single dataset."""
     logs = build_query_logs_parallel(
         {name: raw_queries},
         extra_prefixes,
@@ -991,23 +882,19 @@ def study_corpus_parallel(
     pool: Optional[WorkerPool] = None,
     transport: Optional[TransportStats] = None,
 ) -> CorpusStudy:
-    """Sharded corpus study, identical to the serial :func:`study_corpus`.
+    """The corpus study driver behind :func:`~repro.analysis.study.study_corpus`.
 
     The Table 1 counters (Total/Valid/Unique) are carried by the
-    pre-created per-dataset stats; worker shards contribute measurement
+    pre-created per-dataset stats; chunk studies contribute measurement
     counters only, so merging never double-counts the pipeline totals.
     Chunks are produced lazily and kept in flight in bounded number, so
     even a huge materialized log is never copied wholesale into a
     payload list.  Partial studies reduce through a pairwise merge tree
     in stream order.
 
-    Without *pool*, per-call executors are used and on fork platforms
-    workers receive (name, start, stop) index slices, reading the logs
-    through inherited memory — no AST chunks are pickled into the pool
-    at all.  With a persistent *pool* the workers forked before this
-    run's logs existed, so query chunks are shipped in and compact
-    pre-reduced partial studies come back (pre-pickled, counted into
-    *transport*).
+    In-process runs measure every chunk against one run-local structure
+    cache.  Pool runs ship query chunks in and get compact pre-reduced
+    partial studies back (pre-pickled, counted into *transport*).
     """
     workers = pool.workers if pool is not None else resolve_workers(workers)
     if options is None:
@@ -1049,40 +936,19 @@ def _study_corpus_parallel(
     duplicate discoveries across workers are harmless.
     """
     study = CorpusStudy(dedup=dedup)
+    if options.profile:
+        # A profiled run reports a profile even when nothing was measured.
+        study.pass_profile = PassProfile()
     total = sum(log.unique for log in logs.values())
     schedule = _chunk_schedule(chunk_size, total, workers)
     for name, log in logs.items():
         # The sequence accumulators (like the Table 1 counters) were
-        # computed at ingestion over the whole ordered stream; worker
-        # shards carry none, so merging never double-counts them.
+        # computed at ingestion over the whole ordered stream; chunk
+        # studies carry none, so merging never double-counts them.
         study.datasets[name] = DatasetStats(
             name=name, total=log.total, valid=log.valid, unique=log.unique,
             streaks=_claim_streaks(name, log),
         )
-    initializer = partial(_init_measure_worker, options)
-
-    def drain(results: Iterable) -> None:
-        """Tree-merge partial studies as they arrive, flushing store rows."""
-        merger = _TreeMerger(_merge_pair)
-        for result in results:
-            if isinstance(result, bytes):
-                if transport is not None:
-                    transport.chunks_shipped += 1
-                    transport.shipped_bytes += len(result)
-                result = pickle.loads(result)
-            shard, rows = result
-            started = perf_counter()
-            merger.push(shard)
-            if transport is not None:
-                transport.merge_seconds += perf_counter() - started
-            if store is not None:
-                store.put_many(rows)
-        started = perf_counter()
-        tail = merger.result()
-        if tail is not None:
-            study.merge(tail)
-        if transport is not None:
-            transport.merge_seconds += perf_counter() - started
 
     def chunk_payloads() -> Iterator[Tuple[str, List[ParsedQuery], bool, AnalysisOptions]]:
         """Lazily yield (dataset, chunk, dedup, options) payloads."""
@@ -1090,74 +956,41 @@ def _study_corpus_parallel(
             for chunk in iter_scheduled_chunks(log.unique_queries(), schedule):
                 yield (name, chunk, dedup, options)
 
-    if pool is not None and workers != 1:
-        # Persistent pool: workers forked before this run's logs
-        # existed, so chunks of the unique stream are shipped in and
-        # compact snapshot payloads come back (see _pool_measure_chunk).
-        drain(
-            imap_bounded(
-                _pool_measure_chunk, chunk_payloads(), workers, pool=pool
-            )
-        )
-        return study
-
-    if workers != 1 and _fork_context() is not None:
-        # Per-call fork path: ship (name, start, stop) index slices and
-        # let the workers read the logs from inherited memory — no
-        # pickling of AST chunks into the pool, only the small partial
-        # studies back.
-        def slice_payloads() -> Iterator[Tuple[str, int, int, bool, AnalysisOptions]]:
-            """Lazily yield (dataset, start, stop) index-slice payloads."""
-            for name, log in logs.items():
-                start = 0
-                while start < log.unique:
-                    stop = min(start + next(schedule), log.unique)
-                    yield (name, start, stop, dedup, options)
-                    start = stop
-
-        global _SHARED_LOGS
-        with _SHARED_LOGS_LOCK:
-            _SHARED_LOGS = logs
-            try:
-                drain(
-                    imap_bounded(
-                        _measure_slice,
-                        slice_payloads(),
-                        workers,
-                        initializer=initializer,
-                    )
-                )
-            finally:
-                _SHARED_LOGS = None
-        return study
-
-    if workers == 1:
-        # In-process: one run-local cache shared across all chunks and
-        # datasets, like the serial study — duplicate shapes reuse
-        # their structure results.  Run-local (not module state), so
-        # successive runs with different options can't interfere.  With
-        # a store, the run cache reads *and* queues writes through the
-        # parent handle directly.
-        run_cache: StructureCache
-        if store is not None:
-            run_cache = StoreBackedStructureCache(options.cache_size, store)
-        else:
-            run_cache = StructureCache(options.cache_size)
-
-        def measure_payload(payload):
-            """Measure one chunk in-process, sharing the run-local cache."""
-            name, chunk, payload_dedup, payload_options = payload
-            partial_study = measure_chunk(
-                name, chunk, dedup=payload_dedup, options=payload_options,
-                cache=run_cache,
-            )
-            return partial_study, pending_rows(run_cache)
-
-        worker_fn = measure_payload
+    # The in-process executor shares one run-local cache across all
+    # chunks and datasets — duplicate shapes reuse their structure
+    # results.  Run-local (not module state), so successive runs with
+    # different options can't interfere.  With a store, the run cache
+    # reads *and* queues writes through the parent handle directly.
+    run_cache: StructureCache
+    if store is not None:
+        run_cache = StoreBackedStructureCache(options.cache_size, store)
     else:
-        worker_fn = _measure_chunk
+        run_cache = StructureCache(options.cache_size)
 
-    drain(
-        imap_bounded(worker_fn, chunk_payloads(), workers, initializer=initializer)
-    )
+    def measure_local(payload):
+        """Measure one chunk in-process, sharing the run-local cache."""
+        name, chunk, chunk_dedup, chunk_options = payload
+        partial_study = measure_chunk(
+            name, chunk, dedup=chunk_dedup, options=chunk_options,
+            cache=run_cache,
+        )
+        return partial_study, pending_rows(run_cache)
+
+    merger = _TreeMerger(_merge_pair)
+    for result in _execute(
+        measure_local, _pool_measure_chunk, chunk_payloads(), workers, pool=pool
+    ):
+        shard, rows = _receive(result, transport)
+        started = perf_counter()
+        merger.push(shard)
+        if transport is not None:
+            transport.merge_seconds += perf_counter() - started
+        if store is not None:
+            store.put_many(rows)
+    started = perf_counter()
+    tail = merger.result()
+    if tail is not None:
+        study.merge(tail)
+    if transport is not None:
+        transport.merge_seconds += perf_counter() - started
     return study

@@ -22,7 +22,6 @@ Valid corpus).
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import (
@@ -48,33 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .parallel import TransportStats, WorkerPool
 
 __all__ = ["DatasetStats", "CorpusStudy", "measure_query", "study_corpus"]
-
-#: Deprecated module aliases and their modern replacements; kept one
-#: release so external code migrating from the pre-pass monolith keeps
-#: importing, but loudly (see :func:`__getattr__`).
-_DEPRECATED_ALIASES = {
-    "_SHAPE_NODE_LIMIT": "repro.analysis.context.AnalysisOptions.shape_node_limit",
-    "_NON_CTRACT_LIMIT": "repro.analysis.passes.NON_CTRACT_LIMIT",
-}
-
-
-def __getattr__(name: str):
-    """Back-compat aliases with a :class:`DeprecationWarning`.
-
-    The limits moved out of the study monolith with the pass refactor
-    (:mod:`repro.analysis.passes`, :mod:`repro.analysis.context`)."""
-    if name in _DEPRECATED_ALIASES:
-        warnings.warn(
-            f"repro.analysis.study.{name} is deprecated; "
-            f"use {_DEPRECATED_ALIASES[name]} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if name == "_SHAPE_NODE_LIMIT":
-            return DEFAULT_OPTIONS.shape_node_limit
-        return NON_CTRACT_LIMIT
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def _merge_counters(dst: MutableMapping, src: Mapping) -> None:
     """Add *src* into *dst* key-wise.
@@ -537,69 +509,22 @@ def study_corpus(
 ) -> CorpusStudy:
     """Run the full analysis over processed logs.
 
-    With ``workers > 1`` (or a persistent *pool*) the per-dataset query
-    streams are split into lazily-produced chunks measured on worker
-    processes with bounded in-flight chunks, and the partial studies
-    merged in stream order (see :mod:`repro.analysis.parallel`); the
-    result is identical to the serial pass.  *transport* (when given)
-    receives the sharded run's shipped-bytes and merge-time accounting.
+    Delegates to the one study driver,
+    :func:`~repro.analysis.parallel.study_corpus_parallel`: in-process
+    at ``workers=1`` (or on an input of one chunk), otherwise the
+    per-dataset query streams are split into lazily-produced chunks
+    measured on a worker pool — *pool* when given, a temporary one
+    otherwise — and the partial studies merged in stream order.  The
+    result never depends on the executor.  *transport* (when given)
+    receives the shipped-bytes and merge-time accounting.
 
     *options* selects passes (``metrics``), configures the shape-node
     limit and structural cache, and enables per-pass profiling (the
     profile lands on ``CorpusStudy.pass_profile``).
     """
-    if options is None:
-        options = DEFAULT_OPTIONS
-    if workers != 1 or pool is not None:
-        from .parallel import study_corpus_parallel
+    from .parallel import study_corpus_parallel
 
-        return study_corpus_parallel(
-            logs, dedup=dedup, workers=workers, chunk_size=chunk_size,
-            options=options, pool=pool, transport=transport,
-        )
-    passes = resolve_passes(options.metrics)
-    # With ``options.structure_cache_path`` set, the run cache is
-    # backed by the persistent cross-run store (read + write — a serial
-    # run is its own parent); pending rows are flushed on close.  The
-    # store is transparent, so the study is byte-identical either way.
-    from .structure_store import StoreBackedStructureCache, open_structure_cache
-
-    cache = open_structure_cache(options)
-    profile = PassProfile() if options.profile else None
-    study = CorpusStudy(dedup=dedup)
-    try:
-        for name, log in logs.items():
-            stats = DatasetStats(
-                name=name, total=log.total, valid=log.valid, unique=log.unique,
-                streaks=_claim_streaks(name, log),
-            )
-            study.datasets[name] = stats
-            for parsed in log.unique_queries():
-                weight = 1 if dedup else parsed.count
-                run_passes(
-                    study,
-                    stats,
-                    parsed,
-                    weight,
-                    passes=passes,
-                    options=options,
-                    cache=cache,
-                    profile=profile,
-                )
-    finally:
-        if isinstance(cache, StoreBackedStructureCache):
-            cache.close()
-    if profile is not None:
-        profile.cache_hits = cache.hits
-        profile.cache_misses = cache.misses
-        profile.store_hits = getattr(cache, "store_hits", 0)
-        study.pass_profile = profile
-    return study
-
-
-def _analyze_query(
-    study: CorpusStudy, stats: DatasetStats, parsed: ParsedQuery, weight: int
-) -> None:
-    """Back-compat shim for the pre-refactor monolith: the default pass
-    pipeline with no cross-query cache."""
-    run_passes(study, stats, parsed, weight)
+    return study_corpus_parallel(
+        logs, dedup=dedup, workers=workers, chunk_size=chunk_size,
+        options=options, pool=pool, transport=transport,
+    )

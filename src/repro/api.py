@@ -63,7 +63,7 @@ from .analysis.incremental import WatchCycle, WatchSession
 from .analysis.snapshot import load_study, save_study
 from .analysis.streaks import DEFAULT_STREAK_THRESHOLD, DEFAULT_STREAK_WINDOW
 from .analysis.study import CorpusStudy, study_corpus
-from .logs import ParseCache, QueryLog, build_query_log, dataset_name, iter_entries
+from .logs import QueryLog, dataset_name, iter_entries
 from .logs.sources import read_entries
 from .reporting.reporters import render_report
 
@@ -377,32 +377,22 @@ class AnalysisSession:
         Sequence metrics (``streaks``) are computed here — the ordered
         raw stream no longer exists after deduplication — by the
         chunked driver, whose per-chunk accumulators stitch back to the
-        exact serial scan.  A sequence-only selection ingests leanly by
+        exact one-pass scan.  A sequence-only selection ingests leanly by
         default (no parse/dedup/AST retention; see
         :attr:`AnalysisRequest.lean`)."""
-        corpora = self._resolve_corpora(request)
         prefixes = dict(request.extra_prefixes) if request.extra_prefixes else None
-        sequences = resolve_sequence_passes(request.metrics)
-        workers = pool.workers if pool is not None else resolve_workers(request.workers)
-        if request.stream or workers != 1 or sequences:
-            # One pool over all datasets: small logs share the worker
-            # start-up; lazy sources keep peak memory O(workers × chunk).
-            return build_query_logs_parallel(
-                corpora,
-                prefixes,
-                workers=workers,
-                chunk_size=request.chunk_size,
-                options=request.options() if sequences else None,
-                pool=pool,
-                transport=transport,
-            )
-        # Serial path: one parse cache across all datasets, so texts
-        # recurring across endpoint logs are parsed once.
-        cache = ParseCache()
-        return {
-            name: build_query_log(name, texts, prefixes, cache=cache)
-            for name, texts in corpora.items()
-        }
+        # One executor over all datasets: one parse cache in-process,
+        # one worker start-up on a pool; lazy sources keep peak memory
+        # O(workers × chunk).
+        return build_query_logs_parallel(
+            self._resolve_corpora(request),
+            prefixes,
+            workers=pool.workers if pool is not None else resolve_workers(request.workers),
+            chunk_size=request.chunk_size,
+            options=request.options(),
+            pool=pool,
+            transport=transport,
+        )
 
     def measure(
         self,
@@ -452,30 +442,21 @@ def analyze_corpora(
         return session.run(request)
 
 
-def merge_studies(
-    studies: Iterable[CorpusStudy], dedup: Optional[bool] = None
-) -> CorpusStudy:
+def merge_studies(studies: Iterable[CorpusStudy]) -> CorpusStudy:
     """Merge studies (typically loaded snapshots) in the given order.
 
     ``merge_studies([load_study(a), load_study(b)])`` renders the same
     report bytes as merging the in-memory studies directly — snapshots
     preserve counter insertion order, which report rendering depends
-    on.  All studies must share the same corpus flavour.
-
-    With the default ``dedup=None`` the flavour is inferred from the
-    first study (so at least one is required).  Passing ``dedup``
-    explicitly keeps the pre-1.1 root-level signature working: the
-    merge starts from an empty study of that flavour, and an empty
-    *studies* is allowed."""
-    merged = None if dedup is None else CorpusStudy(dedup=dedup)
+    on.  All studies must share the same corpus flavour, which is
+    inferred from the first study (so at least one is required)."""
+    merged: Optional[CorpusStudy] = None
     for study in studies:
         if merged is None:
             merged = CorpusStudy(dedup=study.dedup)
         merged.merge(study)
     if merged is None:
-        raise ValueError(
-            "merge_studies: need at least one study (or an explicit dedup=)"
-        )
+        raise ValueError("merge_studies: need at least one study")
     return merged
 
 

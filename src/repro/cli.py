@@ -39,7 +39,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -58,7 +57,7 @@ from .api import (
 from .engine import IndexedEngine, NestedLoopEngine
 from .exceptions import StudySnapshotError, WarehouseError, WatchStateError
 from .warehouse import StudyWarehouse
-from .logs import encode_access_log_line, read_entries
+from .logs import encode_access_log_line
 from .reporting import (
     get_reporter,
     render_figure3,
@@ -75,23 +74,7 @@ from .workload import (
     generate_workload,
 )
 
-__all__ = ["main", "read_query_file"]
-
-
-def read_query_file(path: Path) -> List[str]:
-    """Deprecated alias of :func:`repro.logs.read_entries`.
-
-    Kept one release for callers of the pre-facade CLI module; new code
-    should use :func:`repro.logs.read_entries` (same behavior: format
-    auto-detection, gzip, log directories).
-    """
-    warnings.warn(
-        "repro.cli.read_query_file is deprecated; "
-        "use repro.logs.read_entries instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return read_entries(path)
+__all__ = ["main"]
 
 
 def _emit(output: str) -> None:

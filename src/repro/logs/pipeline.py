@@ -57,12 +57,14 @@ class ParseCache:
 
     Real endpoint logs are extremely duplicate-heavy (the paper's Valid
     vs Unique gap in Table 1), so re-parsing the same text is the main
-    avoidable cost of the pipeline.  A cache instance can be shared
-    across several :func:`build_query_log` calls — e.g. one cache for a
-    whole multi-file ``repro analyze`` run.  Entries are keyed by text
-    only, so all calls must use the same prefix environment; the cache
-    pins the environment of its first parse and raises on a mismatch
-    rather than returning ASTs parsed under the wrong prefixes.
+    avoidable cost of the pipeline.  One instance is shared across all
+    chunks and datasets of an in-process run (the ingest driver keeps
+    one per run; pool workers keep one per prefix environment), or
+    across several :func:`process_entries` calls by hand.  Entries are
+    keyed by text only, so all calls must use the same prefix
+    environment; the cache pins the environment of its first parse and
+    raises on a mismatch rather than returning ASTs parsed under the
+    wrong prefixes.
     """
 
     __slots__ = ("_entries", "_prefixes", "_last_prefixes_obj", "hits", "misses")
@@ -234,32 +236,16 @@ def build_query_log(
     raw_queries: Iterable[str],
     extra_prefixes: Optional[Dict[str, str]] = None,
     *,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
     cache: Optional[ParseCache] = None,
 ) -> QueryLog:
     """Run the clean → parse → dedup pipeline over raw query texts.
 
     *raw_queries* is the post-cleaning stream (strings that look like
     queries) and may be a one-shot lazy iterator, e.g. from
-    :func:`repro.logs.sources.iter_entries`: both the serial pass and
-    the chunked workers path consume it incrementally, so peak memory
-    is bounded by the chunk window plus the deduplicated unique state —
-    never the raw log size.  Entries failing to parse count toward
-    Total but not Valid.  With ``workers != 1`` the stream is split
-    into chunks that are parsed on worker processes with bounded
-    in-flight chunks and merged in stream order; the result is
-    identical to the serial pass, but *cache* is ignored — caches
-    cannot cross process boundaries, so each pool worker keeps its own.
+    :func:`repro.logs.sources.iter_entries`; it is consumed
+    incrementally, in-process.  Entries failing to parse count toward
+    Total but not Valid.  For chunked, bounded-memory or multi-worker
+    ingestion of whole corpora use
+    :func:`repro.analysis.parallel.build_query_logs_parallel`.
     """
-    if workers != 1:
-        from ..analysis.parallel import build_query_log_parallel
-
-        return build_query_log_parallel(
-            name,
-            raw_queries,
-            extra_prefixes=extra_prefixes,
-            workers=workers,
-            chunk_size=chunk_size,
-        )
     return process_entries(raw_queries, extra_prefixes, cache).to_query_log(name)

@@ -158,13 +158,3 @@ class TestResult:
     def test_merge_studies_requires_input(self):
         with pytest.raises(ValueError, match="at least one"):
             merge_studies([])
-
-    def test_merge_studies_explicit_dedup_keeps_old_signature(self):
-        # The pre-1.1 root-level signature: explicit flavour, empty ok.
-        empty = merge_studies([], dedup=True)
-        assert empty.dedup and empty.query_count == 0
-        shard = analyze_corpora({"m": ["ASK { ?s ?p ?o }"] * 2}, dedup=False).study
-        merged = merge_studies([shard], dedup=False)
-        assert not merged.dedup and merged.query_count == 2
-        with pytest.raises(ValueError, match="cannot merge"):
-            merge_studies([shard], dedup=True)

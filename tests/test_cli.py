@@ -286,6 +286,19 @@ class TestVersion:
         assert out.split()[1][0].isdigit()
 
 
+class TestWarnings:
+    def test_normal_cli_runs_do_not_warn(self, tmp_path, capsys, recwarn):
+        path = tmp_path / "q.rq"
+        path.write_text("ASK { ?s ?p ?o }\n")
+        assert main(["analyze", str(path)]) == 0
+        capsys.readouterr()
+        assert not [
+            warning
+            for warning in recwarn.list
+            if issubclass(warning.category, DeprecationWarning)
+        ]
+
+
 class TestSnapshotVerbs:
     """`analyze --save-study`, `merge`, and `report` round trips."""
 

@@ -123,11 +123,14 @@ class TestLogShardMerge:
         for name, log in logs.items():
             assert_logs_equal(log, corpus_logs()[name])
 
-    def test_build_query_log_workers_kwarg(self):
-        name, entries = next(iter(corpus_entries().items()))
-        assert_logs_equal(
-            build_query_log(name, entries, workers=2), corpus_logs()[name]
-        )
+    def test_build_query_log_matches_sharded_driver(self):
+        # build_query_log is the one-chunk in-process form of the ingest
+        # driver; a pool-less multi-worker driver run (temporary pool,
+        # adaptive chunks) must produce the same log.
+        name, entries = max(corpus_entries().items(), key=lambda item: len(item[1]))
+        assert len(entries) > 64  # more than one adaptive chunk
+        logs = build_query_logs_parallel({name: entries}, workers=2)
+        assert_logs_equal(logs[name], build_query_log(name, entries))
 
     def test_prewarmed_cache_keeps_occurrence_order(self):
         # A shared cache must not leak first-occurrence order between
@@ -209,20 +212,47 @@ class TestStudyMerge:
         parallel = study_corpus_parallel(logs, dedup=False, workers=2, chunk_size=5)
         assert render_study(parallel, logs) == render_study(serial, logs)
 
-    def test_fork_shared_slices_match_chunk_payloads(self):
-        # The fork path ships (name, start, stop) index slices through
-        # inherited memory; it must reproduce the pickled-chunk path
-        # (and the serial pass) exactly, and clean up the shared state.
+    def test_poolless_sharded_run_uses_temporary_pool(self, monkeypatch):
+        # Without a pool the driver opens a temporary WorkerPool for the
+        # call, ships query chunks, and still matches the in-process run.
         from repro.analysis import parallel as par
 
+        opened = []
+
+        class RecordingPool(par.WorkerPool):
+            def __init__(self, workers):
+                super().__init__(workers)
+                opened.append(self)
+
+        monkeypatch.setattr(par, "WorkerPool", RecordingPool)
         logs = corpus_logs()
-        result = study_corpus_parallel(logs, dedup=True, workers=2, chunk_size=7)
-        assert par._SHARED_LOGS is None
+        transport = par.TransportStats()
+        result = study_corpus_parallel(
+            logs, dedup=True, workers=2, chunk_size=7, transport=transport
+        )
+        assert len(opened) == 1 and not opened[0].started  # closed again
+        assert transport.chunks_shipped > 1
         assert render_study(result, logs) == render_study(serial_study(), logs)
 
-    def test_serial_fallback_is_executor_free(self):
-        # workers=1 through the parallel driver must not need pickling
-        # or subprocesses, and still matches the plain serial pass.
+    def test_serial_fallback_is_executor_free(self, monkeypatch):
+        # workers=1, and workers>1 on an input of one chunk, run the
+        # in-process executor: no process pool may even be constructed.
+        from repro.analysis import parallel as par
+
+        def no_executor(*args, **kwargs):
+            raise AssertionError("in-process run built a process pool")
+
+        monkeypatch.setattr(par, "ProcessPoolExecutor", no_executor)
+        name, entries = max(
+            (item for item in corpus_entries().items() if len(item[1]) <= 64),
+            key=lambda item: len(item[1]),
+        )  # one adaptive chunk at any worker count
+        expected = {name: corpus_logs()[name]}
+        for workers in (1, 4):
+            logs = build_query_logs_parallel({name: entries}, workers=workers)
+            assert_logs_equal(logs[name], expected[name])
+            result = study_corpus_parallel(logs, dedup=True, workers=workers)
+            assert result == study_corpus(expected, dedup=True)
         logs = corpus_logs()
         result = study_corpus_parallel(logs, dedup=True, workers=1, chunk_size=3)
         assert render_study(result, logs) == render_study(serial_study(), logs)

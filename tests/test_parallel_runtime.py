@@ -350,6 +350,27 @@ class TestTransportCounters:
         assert profile.shipped_bytes == 0
         assert "shard transport:" not in render_pass_profile(profile)
 
+    def test_pooled_single_chunk_run_ships_nothing(self, monkeypatch):
+        # A multi-worker session run whose input is one chunk runs the
+        # in-process executor: no pool start, no transport, and no
+        # pool-worker caches filling up in the parent process.
+        from repro.analysis import parallel as par
+
+        monkeypatch.setattr(par, "_POOL_PARSE_CACHES", {})
+        monkeypatch.setattr(par, "_POOL_STRUCTURE_CACHES", {})
+        with AnalysisSession() as session:
+            for run in range(3):
+                texts = [f"ASK {{ ?s <urn:p{run}x{i}> ?o }}" for i in range(40)]
+                result = session.run(
+                    AnalysisRequest(corpora={"d": texts}, workers=2, profile=True)
+                )
+                assert not session._pool.started
+                assert result.profile.chunks_shipped == 0
+                assert result.profile.shipped_bytes == 0
+                assert result.study.datasets["d"].unique == 40
+        assert par._POOL_PARSE_CACHES == {}
+        assert par._POOL_STRUCTURE_CACHES == {}
+
     def test_transport_stats_fold_into_profile(self):
         profile = PassProfile()
         TransportStats(chunks_shipped=3, shipped_bytes=999, merge_seconds=0.25).add_to_profile(profile)

@@ -90,9 +90,9 @@ class TestCacheTransparency:
         assert cached == uncached
 
     def test_collapsed_single_chunk_run_still_caches(self):
-        # workers > 1 but the stream fits one chunk: imap_bounded's
-        # serial fallback must still run the pool initializer, so the
-        # structural cache exists (and profiling sees its lookups).
+        # workers > 1 but the stream fits one chunk: the driver runs it
+        # in-process against its run-local structural cache, so caching
+        # still happens (and profiling sees its lookups).
         log = build_query_log("d", TEMPLATED)
         options = AnalysisOptions(profile=True)
         study = study_corpus_parallel(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import study as study_module
 from repro.analysis.study import study_corpus
 from repro.logs import build_query_log
 
@@ -195,3 +196,13 @@ class TestDatasetStats:
         assert buckets["1"] == pytest.approx(50.0)
         assert buckets["2"] == pytest.approx(50.0)
         assert stats.average_triples == pytest.approx(1.0)
+
+
+class TestRemovedShims:
+    def test_removed_shims_are_gone(self):
+        # 2.0 dropped the pre-pass-framework aliases; a lookup of any of
+        # them (or of an unknown name) is a plain AttributeError.
+        for name in ("_SHAPE_NODE_LIMIT", "_NON_CTRACT_LIMIT", "_analyze_query",
+                     "_NO_SUCH_ALIAS"):
+            with pytest.raises(AttributeError):
+                getattr(study_module, name)
