@@ -10,6 +10,10 @@ identical decisions:
 * **prefilters on/off** — the full filter chain
   (:func:`repro.analysis.streaks.stripped_similar`) vs the
   pre-prefilter kernel kept as the correctness oracle;
+* **DP-decision memo on/off** — a streak scan with and without the
+  scan state's memo of recent DP decisions;
+* **budget cutoff** — the Myers DP stopping once the final diagonal
+  exceeds the budget vs running to the last column;
 * **lean ingestion on/off** — a sequence-only ``streaks`` study with
   and without the full clean → parse → dedup pipeline.
 
@@ -31,6 +35,7 @@ from _bench_utils import banner
 from repro.analysis import levenshtein
 from repro.analysis.streaks import (
     SIMILARITY_COUNTERS,
+    StreakAccumulator,
     _levenshtein_banded,
     _levenshtein_full,
     _similar_reference,
@@ -172,6 +177,87 @@ def test_ablation_prefilters():
             "speedup": round(_speedup(off_elapsed, on_elapsed), 2),
             "dp_skip_rate": round(skip_rate, 4),
             "counters": counters,
+        }
+    )
+
+
+def test_ablation_dp_memo():
+    """DP-decision memo on vs off over one scan: same state, fewer DPs."""
+    log = generate_day_log(1600, session_rate=0.3, seed=6)
+    runs = {}
+    for memo_on in (False, True):
+        accumulator = StreakAccumulator()
+        if not memo_on:
+            accumulator._memo = None
+        SIMILARITY_COUNTERS.reset()
+        started = time.monotonic()
+        for text in log:
+            accumulator.push(text)
+        elapsed = time.monotonic() - started
+        runs[memo_on] = (accumulator, elapsed, SIMILARITY_COUNTERS.to_dict())
+    (off_acc, off_elapsed, off), (on_acc, on_elapsed, on) = runs[False], runs[True]
+
+    banner("Ablation: DP-decision memo on vs off")
+    print(f"memo off: {off_elapsed * 1e3:9.1f} ms, {off['dp_runs']} DP runs")
+    print(f"memo on:  {on_elapsed * 1e3:9.1f} ms, {on['dp_runs']} DP runs")
+
+    # The memo may only skip work: same accumulator, same decisions.
+    assert on_acc == off_acc
+    assert on_acc.to_dict() == off_acc.to_dict()
+    assert on["comparisons"] == off["comparisons"]
+    assert on["dp_runs"] + on["memo_hits"] == off["dp_runs"] + off["memo_hits"]
+    _record_ablation(
+        {
+            "name": "dp_memo",
+            "queries": len(log),
+            "identical_decisions": True,
+            "off_dp_runs": off["dp_runs"],
+            "on_dp_runs": on["dp_runs"],
+            "off_seconds": round(off_elapsed, 6),
+            "on_seconds": round(on_elapsed, 6),
+            "speedup": round(_speedup(off_elapsed, on_elapsed), 2),
+        }
+    )
+
+
+def test_ablation_budget_cutoff():
+    """Myers with the budget cutoff vs run to the end, same decisions."""
+    log = [strip_prefixes(q) for q in generate_day_log(400, seed=4)]
+    pairs = []
+    for i in range(len(log)):
+        for j in range(max(0, i - WINDOW), i):
+            a, b = log[i], log[j]
+            budget = int(max(len(a), len(b)) * 0.25)
+            # The pairs the length bound leaves to the DP.
+            if a != b and abs(len(a) - len(b)) <= budget:
+                pairs.append((a, b, budget))
+
+    started = time.monotonic()
+    full = [levenshtein(a, b) <= budget for a, b, budget in pairs]
+    full_elapsed = time.monotonic() - started
+
+    started = time.monotonic()
+    cutoff = [
+        levenshtein(a, b, max_distance=budget) is not None
+        for a, b, budget in pairs
+    ]
+    cutoff_elapsed = time.monotonic() - started
+
+    banner("Ablation: Myers budget cutoff vs full distance")
+    print(f"full distance: {full_elapsed * 1e3:9.1f} ms over {len(pairs)} pairs")
+    print(f"budget cutoff: {cutoff_elapsed * 1e3:9.1f} ms")
+    print(f"speedup:       {_speedup(full_elapsed, cutoff_elapsed):9.2f}x")
+
+    assert cutoff == full
+    _record_ablation(
+        {
+            "name": "budget_cutoff",
+            "pairs": len(pairs),
+            "identical_decisions": True,
+            "rejects": full.count(False),
+            "full_seconds": round(full_elapsed, 6),
+            "cutoff_seconds": round(cutoff_elapsed, 6),
+            "speedup": round(_speedup(full_elapsed, cutoff_elapsed), 2),
         }
     )
 

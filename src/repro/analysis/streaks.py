@@ -22,15 +22,19 @@ in ``tests/test_streak_prefilters.py``):
    the distance; O(1);
 3. **bag-of-characters prefilter** — the multiset surplus
    ``max(|bag(a)−bag(b)|, |bag(b)−bag(a)|)`` is a lower bound on the
-   distance; O(alphabet) using character-frequency vectors cached on
-   :class:`PreparedText`;
+   distance; one O(alphabet) loop over character-frequency vectors
+   cached on :class:`PreparedText`;
 4. **common-affix accept** — after trimming the shared prefix and
    suffix (which leaves the distance unchanged), the longer remainder
    length is an *upper* bound on the distance: small enough means
    similar without any DP;
-5. **banded DP** — the O(k·n) band that gives up as soon as the
-   distance provably exceeds the threshold, now running on the trimmed
-   remainders only.
+5. **decision memo** — each scan state remembers its recent DP
+   decisions by text pair, so a (chain tail, query) pair that a
+   bot-repeated stream brings back is not decided twice;
+6. **budgeted bit-parallel DP** — Myers' algorithm on the trimmed
+   remainders, which stops as soon as a cell on the final diagonal
+   exceeds the edit budget.  (The banded DP it replaced survives only
+   as the correctness oracle and ablation baseline.)
 
 See ``docs/PERFORMANCE.md`` for the measured effect of each stage and
 :data:`SIMILARITY_COUNTERS` for per-process instrumentation.
@@ -121,7 +125,11 @@ def levenshtein(
     comparison point).
 
     When *max_distance* is given, returns ``None`` if the distance
-    exceeds the bound (after an O(1) length-difference rejection).
+    exceeds the bound: at once when the length difference does, else
+    as soon as the DP reaches a cell on the final diagonal whose value
+    exceeds it (edit distance never decreases along a diagonal, so
+    that cell is a lower bound on the answer).  Without a bound the
+    result is always the exact distance.
     """
     if a == b:
         return 0
@@ -130,26 +138,39 @@ def levenshtein(
     len_a, len_b = len(a), len(b)
     if max_distance is not None and len_b - len_a > max_distance:
         return None
-    distance = len_b if len_a == 0 else _levenshtein_bitparallel(a, b)
-    if max_distance is not None and distance > max_distance:
-        return None
-    return distance
+    if len_a == 0:
+        return len_b
+    return _levenshtein_bitparallel(a, b, max_distance)
 
 
-def _levenshtein_bitparallel(a: str, b: str) -> int:
+#: Columns between two final-diagonal checks of the budgeted Myers DP.
+_CUTOFF_STRIDE = 8
+
+
+def _levenshtein_bitparallel(
+    a: str, b: str, max_distance: Optional[int] = None
+) -> Optional[int]:
     """Exact Levenshtein distance via Myers' bit-vector algorithm.
 
-    Requires *a* non-empty (callers handle the empty case).  The
-    pattern *a* is encoded as per-character match masks; each character
-    of *b* then updates the vertical positive/negative delta vectors
-    with six bit operations on ``len(a)``-bit integers.  Python's
-    arbitrary-precision ints hold the whole vector, so no 64-bit block
-    chaining is needed.  Verified equal to the full DP in the property
+    Requires *a* non-empty and no longer than *b* (callers handle the
+    rest).  The pattern *a* is encoded as per-character match masks;
+    each character of *b* then updates the vertical positive/negative
+    delta vectors with a few bit operations on ``len(a)``-bit integers.
+    Python's arbitrary-precision ints hold the whole vector, so no
+    64-bit block chaining is needed.
+
+    Row ``r`` of column ``j`` holds ``j + popcount(P & low) −
+    popcount(N & low)`` with ``low = 2**r − 1``, so the distance is read
+    off the last column once, and with *max_distance* every
+    ``_CUTOFF_STRIDE`` columns the cell on the final diagonal (row =
+    column − (len b − len a)) is checked against the budget: edit
+    distance never decreases along a diagonal (Ukkonen 1985), so once
+    that cell exceeds the budget so does the answer, and the function
+    returns ``None``.  Verified equal to the full DP in the property
     suite and the Levenshtein ablation bench.
     """
     length = len(a)
     mask = (1 << length) - 1
-    last = 1 << (length - 1)
     match_masks: Dict[str, int] = {}
     bit = 1
     for char in a:
@@ -157,23 +178,40 @@ def _levenshtein_bitparallel(a: str, b: str) -> int:
         bit <<= 1
     positive = mask  # vertical delta +1 positions
     negative = 0  # vertical delta -1 positions
-    score = length
     get = match_masks.get
-    for char in b:
-        matches = get(char, 0)
-        diagonal = matches | negative
-        horizontal_x = (((matches & positive) + positive) ^ positive) | matches
-        h_positive = negative | (~(horizontal_x | positive) & mask)
-        h_negative = positive & horizontal_x
-        if h_positive & last:
-            score += 1
-        elif h_negative & last:
-            score -= 1
-        h_positive = ((h_positive << 1) | 1) & mask
-        h_negative = (h_negative << 1) & mask
-        positive = h_negative | (~(diagonal | h_positive) & mask)
-        negative = h_positive & diagonal
-    return score
+    len_b = len(b)
+    offset = len_b - length
+    # Row 0 of the final diagonal is the length difference, which the
+    # caller already held within budget: the first check is a stride in.
+    checks = (
+        range(offset + _CUTOFF_STRIDE, len_b, _CUTOFF_STRIDE)
+        if max_distance is not None else ()
+    )
+    start = 0
+    for stop in (*checks, len_b):
+        for char in b[start:stop]:
+            matches = get(char, 0)
+            diagonal = matches | negative
+            horizontal_x = (((matches & positive) + positive) ^ positive) | matches
+            h_positive = negative | (mask ^ (horizontal_x | positive))
+            h_negative = positive & horizontal_x
+            h_positive = ((h_positive << 1) | 1) & mask
+            h_negative = (h_negative << 1) & mask
+            positive = h_negative | (mask ^ (diagonal | h_positive))
+            negative = h_positive & diagonal
+        if stop == len_b:
+            break
+        start = stop
+        low = (1 << (stop - offset)) - 1
+        if (
+            stop + (positive & low).bit_count() - (negative & low).bit_count()
+            > max_distance
+        ):
+            return None
+    distance = len_b + positive.bit_count() - negative.bit_count()
+    if max_distance is not None and distance > max_distance:
+        return None
+    return distance
 
 
 def _levenshtein_full(a: str, b: str) -> int:
@@ -249,7 +287,7 @@ class SimilarityCounters:
     module-level :data:`SIMILARITY_COUNTERS` instance is what the
     kernel increments.  Counters never influence results — they exist
     so benchmarks (and ``BENCH_passes.json``) can report how much work
-    each prefilter stage absorbed before the banded DP ran.
+    each prefilter stage absorbed before the DP ran.
     """
 
     comparisons: int = 0  #: similarity decisions requested
@@ -257,8 +295,8 @@ class SimilarityCounters:
     length_rejects: int = 0  #: settled by the length-difference bound
     bag_rejects: int = 0  #: settled by the bag-of-chars bound
     trim_accepts: int = 0  #: settled by the common-affix upper bound
-    dp_runs: int = 0  #: pairs that actually reached the banded DP
-    memo_hits: int = 0  #: decisions reused from a per-push memo
+    dp_runs: int = 0  #: pairs that actually reached the DP
+    memo_hits: int = 0  #: decisions reused from a per-push or DP-decision memo
     boundary_hits: int = 0  #: decisions reused from a worker boundary table
 
     def reset(self) -> None:
@@ -347,19 +385,25 @@ def bag_distance_bound(freq_a: Counter, freq_b: Counter) -> int:
     ``max`` of the two multiset surpluses: every character *a* has in
     excess of *b* must be deleted or substituted away, and vice versa,
     while one edit operation fixes at most one unit of either surplus.
-    Property-tested against the exact distance in
-    ``tests/test_streak_prefilters.py``.
+    One loop suffices: the surpluses differ by exactly the length
+    difference, ``excess_a − excess_b = len(a) − len(b)``.
+    Property-tested against the exact distance and the two-loop
+    formula in ``tests/test_streak_prefilters.py``.
     """
+    return _bag_bound(
+        freq_a, freq_b, sum(freq_a.values()) - sum(freq_b.values())
+    )
+
+
+def _bag_bound(freq_a: Counter, freq_b: Counter, length_difference: int) -> int:
+    """:func:`bag_distance_bound` given ``len(a) − len(b)``."""
     excess_a = 0
-    excess_b = 0
+    get = freq_b.get
     for char, count in freq_a.items():
-        difference = count - freq_b.get(char, 0)
+        difference = count - get(char, 0)
         if difference > 0:
             excess_a += difference
-    for char, count in freq_b.items():
-        difference = count - freq_a.get(char, 0)
-        if difference > 0:
-            excess_b += difference
+    excess_b = excess_a - length_difference
     return excess_a if excess_a > excess_b else excess_b
 
 
@@ -382,16 +426,61 @@ def _strip_common_affixes(a: str, b: str) -> Tuple[str, str]:
     return a[prefix:len(a) - suffix], b[prefix:len(b) - suffix]
 
 
+#: Entries per generation of a :class:`_DecisionMemo`.
+_MEMO_GENERATION = 256
+
+
+class _DecisionMemo:
+    """Bounded memo of DP decisions for one scan state.
+
+    Bot-repeated queries make a scan meet the same (chain tail, query)
+    pair again and again; the memo keeps the DP from re-deciding it.
+    Two generations of at most :data:`_MEMO_GENERATION` entries each:
+    when the young one fills it becomes the old one and the previous
+    old one is dropped, and a hit in the old generation is copied back
+    into the young one, so recently used decisions survive rotation
+    while at most ``2 × _MEMO_GENERATION`` stay alive.  Keys are
+    ``(a.text, b.text)``; one memo serves one threshold.  Derived state
+    only — never pickled, snapshotted or compared.
+    """
+
+    __slots__ = ("young", "old")
+
+    def __init__(self) -> None:
+        self.young: Dict[Tuple[str, str], bool] = {}
+        self.old: Dict[Tuple[str, str], bool] = {}
+
+    def get(self, key: Tuple[str, str]) -> Optional[bool]:
+        """The remembered decision for *key*, or ``None``."""
+        verdict = self.young.get(key)
+        if verdict is None:
+            verdict = self.old.get(key)
+            if verdict is not None:
+                self.put(key, verdict)
+        return verdict
+
+    def put(self, key: Tuple[str, str], verdict: bool) -> None:
+        """Remember *verdict* for *key*, rotating a full generation."""
+        if len(self.young) >= _MEMO_GENERATION:
+            self.old = self.young
+            self.young = {}
+        self.young[key] = verdict
+
+
 def prepared_similar(
     a: PreparedText,
     b: PreparedText,
     threshold: float = DEFAULT_STREAK_THRESHOLD,
+    memo: Optional[_DecisionMemo] = None,
 ) -> bool:
     """The similarity test on prepared texts — the kernel's hot path.
 
     Decision-identical to :func:`stripped_similar` on the underlying
     texts (property-tested); the filter chain documented in the module
-    docstring only changes *how fast* the answer arrives.
+    docstring only changes *how fast* the answer arrives.  *memo* (a
+    scan state's :class:`_DecisionMemo`, always used with the same
+    *threshold*) is consulted after the prefilters, right before the
+    DP.
     """
     counters = SIMILARITY_COUNTERS
     counters.comparisons += 1
@@ -404,7 +493,7 @@ def prepared_similar(
     if (difference if difference > 0 else -difference) > budget:
         counters.length_rejects += 1
         return False
-    if bag_distance_bound(a.freq, b.freq) > budget:
+    if _bag_bound(a.freq, b.freq, difference) > budget:
         counters.bag_rejects += 1
         return False
     trimmed_a, trimmed_b = _strip_common_affixes(a.text, b.text)
@@ -413,8 +502,17 @@ def prepared_similar(
         # other — an upper bound), already within budget: similar.
         counters.trim_accepts += 1
         return True
+    if memo is not None:
+        key = (a.text, b.text)
+        verdict = memo.get(key)
+        if verdict is not None:
+            counters.memo_hits += 1
+            return verdict
     counters.dp_runs += 1
-    return levenshtein(trimmed_a, trimmed_b, max_distance=budget) is not None
+    verdict = levenshtein(trimmed_a, trimmed_b, max_distance=budget) is not None
+    if memo is not None:
+        memo.put(key, verdict)
+    return verdict
 
 
 def stripped_similar(
@@ -504,6 +602,7 @@ class StreakDetector:
         self.finished: List[Streak] = []
         self._active: List[Tuple[Streak, PreparedText]] = []
         self._position = -1
+        self._memo = _DecisionMemo()
 
     def push(self, query_text: str) -> None:
         """Feed the next query of the ordered stream."""
@@ -529,7 +628,9 @@ class StreakDetector:
                 verdict = decisions[key]
                 SIMILARITY_COUNTERS.memo_hits += 1
             else:
-                verdict = prepared_similar(tail, prepared, self.threshold)
+                verdict = prepared_similar(
+                    tail, prepared, self.threshold, self._memo
+                )
                 decisions[key] = verdict
             if verdict:
                 streak.indices.append(position)
@@ -548,9 +649,6 @@ class StreakDetector:
                     prepared,
                 )
             )
-
-    def _similar(self, stripped_a: str, stripped_b: str) -> bool:
-        return stripped_similar(stripped_a, stripped_b, self.threshold)
 
     def close(self) -> List[Streak]:
         """Flush still-active streaks and return every streak found."""
@@ -684,7 +782,8 @@ class StreakAccumulator:
     """
 
     __slots__ = (
-        "window", "threshold", "length", "head", "chains", "closed", "_boundary"
+        "window", "threshold", "length", "head", "chains", "closed",
+        "_boundary", "_memo",
     )
 
     def __init__(
@@ -704,6 +803,24 @@ class StreakAccumulator:
         #: chunk's head: (our chain tail, their stripped head text) ->
         #: similar?  Derived state — see :meth:`precompute_boundary`.
         self._boundary: Optional[Dict[Tuple[str, str], bool]] = None
+        #: DP decisions of this scan state (see :class:`_DecisionMemo`).
+        self._memo = _DecisionMemo()
+
+    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
+        """Every slot but the memo: the memo never rides transport.
+
+        The same ``(None, slots)`` state the default protocol would
+        build without the memo, so shipped payloads keep their bytes.
+        """
+        return None, {
+            name: getattr(self, name) for name in self.__slots__
+            if name != "_memo"
+        }
+
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._memo = _DecisionMemo()
 
     # -- feeding ---------------------------------------------------------
 
@@ -731,7 +848,7 @@ class StreakAccumulator:
                 SIMILARITY_COUNTERS.memo_hits += 1
             else:
                 verdict = prepared_similar(
-                    chain.tail_prepared(), prepared, self.threshold
+                    chain.tail_prepared(), prepared, self.threshold, self._memo
                 )
                 decisions[key] = verdict
             if verdict:
@@ -821,7 +938,7 @@ class StreakAccumulator:
                     verdict = table[key]
                 else:
                     verdict = table[key] = prepared_similar(
-                        tail, prepared, self.threshold
+                        tail, prepared, self.threshold, self._memo
                     )
                 if verdict:
                     break
@@ -865,7 +982,9 @@ class StreakAccumulator:
         # (see precompute_boundary); the table is authoritative on hit —
         # same prepared_similar, same inputs — and misses (tails
         # stitched through from earlier chunks) fall back to computing
-        # the decision here.
+        # the decision here.  Without the decision memo: a shipped
+        # accumulator arrives with an empty one, so consulting it here
+        # would make the counters depend on where the chunk ran.
         boundary = self._boundary
         absorbed_founders = set()
         extensions: List[Tuple[_Chain, int]] = []

@@ -202,3 +202,49 @@ def test_fixed_size_chunking_property(stream, window):
     for chunk_size in (1, 2, 3, 7):
         boundaries = list(range(chunk_size, len(stream), chunk_size))
         assert detect_chunked(stream, window, boundaries) == serial
+
+
+def test_decision_memo_never_rides_transport(tmp_path):
+    """The DP-decision memo is derived state: not pickled, not saved.
+
+    A scan fills the memo; pickling the accumulator must give the same
+    bytes as with the memo emptied (so shard transport ships what it
+    shipped before the memo existed), the unpickled copy must be equal
+    and start with an empty memo, and neither ``to_dict()`` nor the
+    ``save_study`` bytes may depend on what the memo holds.
+    """
+    import pickle
+
+    from repro.analysis.snapshot import save_study
+    from repro.analysis.streaks import _DecisionMemo
+    from repro.api import analyze_corpora
+    from repro.workload import generate_day_log
+
+    log = generate_day_log(400, session_rate=0.3, seed=5)
+    accumulator = detect(log, 30)
+    assert accumulator._memo.young, "the scan should have filled the memo"
+    filled = accumulator._memo
+
+    shipped = pickle.dumps(accumulator, pickle.HIGHEST_PROTOCOL)
+    snapshot = json.dumps(accumulator.to_dict())
+    accumulator._memo = _DecisionMemo()
+    emptied = pickle.dumps(accumulator, pickle.HIGHEST_PROTOCOL)
+    assert len(shipped) == len(emptied)
+    assert shipped == emptied
+    assert json.dumps(accumulator.to_dict()) == snapshot
+
+    received = pickle.loads(shipped)
+    assert received == accumulator
+    assert not received._memo.young and not received._memo.old
+    # The received copy scans on like any accumulator.
+    received.push(log[0])
+    accumulator.push(log[0])
+    assert received == accumulator
+
+    study = analyze_corpora({"day": log}, metrics=("streaks",)).study
+    saved = {}
+    for label, memo in (("filled", filled), ("emptied", _DecisionMemo())):
+        study.datasets["day"].streaks._memo = memo
+        save_study(study, tmp_path / f"{label}.json")
+        saved[label] = (tmp_path / f"{label}.json").read_bytes()
+    assert saved["filled"] == saved["emptied"]

@@ -11,7 +11,10 @@ pairs and real log pairs:
   bag-reject can never kill a pair the DP would accept);
 * the filtered kernel decides every pair exactly like the
   pre-prefilter reference kernel;
-* the bit-parallel distance engine equals the full O(n²) DP;
+* the bit-parallel distance engine equals the full O(n²) DP, and its
+  budget cutoff is exact on long texts and at every budget edge;
+* the one-loop bag bound equals the two-loop formula;
+* the per-scan DP-decision memo changes no streak and no accumulator;
 * worker-precomputed boundary tables leave merges byte-identical;
 * lean-mode ``repro streaks`` output is byte-identical to
   full-ingestion output.
@@ -21,15 +24,18 @@ import io
 import contextlib
 import string
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.streaks import (
     PreparedText,
     SIMILARITY_COUNTERS,
     StreakAccumulator,
+    StreakDetector,
+    _DecisionMemo,
     _levenshtein_full,
     _similar_reference,
     bag_distance_bound,
+    find_streaks,
     levenshtein,
     prepared_similar,
     strip_prefixes,
@@ -43,6 +49,39 @@ from repro.workload import generate_day_log
 # are what stress the filter chain, not character diversity.
 _texts = st.text(alphabet=string.ascii_lowercase[:6] + " {}?", max_size=40)
 _thresholds = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])
+
+# Long texts cross the 30-bit digits of CPython ints and many cutoff
+# checks of the budgeted DP; U+1F600 is outside the BMP.
+_LONG_ALPHABET = "abc {}?\U0001F600"
+# Drawing the length first keeps long texts common (plain st.text
+# favours short ones).
+_long_texts = st.integers(0, 300).flatmap(
+    lambda size: st.text(alphabet=_LONG_ALPHABET, min_size=size, max_size=size)
+)
+
+
+@st.composite
+def _edited_pairs(draw):
+    """A long text and a copy with up to 40 random edits."""
+    a = draw(_long_texts)
+    b = list(a)
+    for _ in range(draw(st.integers(0, 40))):
+        operation = draw(st.sampled_from("sid"))
+        char = draw(st.sampled_from(_LONG_ALPHABET))
+        if operation == "i" or not b:
+            b.insert(draw(st.integers(0, len(b))), char)
+        elif operation == "s":
+            b[draw(st.integers(0, len(b) - 1))] = char
+        else:
+            del b[draw(st.integers(0, len(b) - 1))]
+    return a, "".join(b)
+
+
+def _two_loop_bag_bound(freq_a, freq_b):
+    """The bag bound as first written: both surpluses, two loops."""
+    excess_a = sum(max(n - freq_b.get(c, 0), 0) for c, n in freq_a.items())
+    excess_b = sum(max(n - freq_a.get(c, 0), 0) for c, n in freq_b.items())
+    return max(excess_a, excess_b)
 
 
 @given(_texts, _texts)
@@ -72,6 +111,84 @@ def test_bounded_distance_agrees_with_full_dp(a, b, max_distance):
     full = _levenshtein_full(a, b)
     expected = full if full <= max_distance else None
     assert levenshtein(a, b, max_distance=max_distance) == expected
+
+
+@given(st.one_of(_edited_pairs(), st.tuples(_long_texts, _long_texts)))
+@settings(max_examples=60, deadline=None)
+@example(("", ""))
+@example(("", "abc"))
+@example(("\U0001F600" * 40, "\U0001F600" * 37 + "a"))
+def test_budgeted_distance_equals_full_dp_on_long_texts(pair):
+    """The final-diagonal cutoff is exact at every budget edge.
+
+    Budgets 0, d − 1, d, d + 1 and the length difference, both argument
+    orders: at or above d the distance comes back exact, below it None.
+    """
+    a, b = pair
+    full = _levenshtein_full(a, b)
+    assert levenshtein(a, b) == full
+    for budget in {0, max(full - 1, 0), full, full + 1, abs(len(a) - len(b))}:
+        expected = full if full <= budget else None
+        assert levenshtein(a, b, max_distance=budget) == expected
+        assert levenshtein(b, a, max_distance=budget) == expected
+
+
+@given(st.one_of(st.tuples(_texts, _texts), st.tuples(_long_texts, _long_texts)))
+def test_one_loop_bag_bound_equals_two_loop_formula(pair):
+    """Deriving excess_b from the length difference changes nothing."""
+    freq_a, freq_b = (PreparedText(text).freq for text in pair)
+    assert bag_distance_bound(freq_a, freq_b) == _two_loop_bag_bound(
+        freq_a, freq_b
+    )
+
+
+def test_decision_memo_changes_no_output():
+    """Memo on vs off: same streaks, same accumulator, fewer DP runs.
+
+    Every DP run the memo saves shows up as one more memo hit, and the
+    number of decisions asked for does not move.
+    """
+    log = generate_day_log(600, session_rate=0.3, seed=5)
+    runs = {}
+    for memo_on in (True, False):
+        detector = StreakDetector()
+        accumulator = StreakAccumulator()
+        if not memo_on:
+            detector._memo = accumulator._memo = None
+        SIMILARITY_COUNTERS.reset()
+        for text in log:
+            detector.push(text)
+            accumulator.push(text)
+        streaks = [(s.indices, s.tail_text) for s in detector.close()]
+        runs[memo_on] = (streaks, accumulator, SIMILARITY_COUNTERS.to_dict())
+    (on_streaks, on_acc, on), (off_streaks, off_acc, off) = runs[True], runs[False]
+    assert on_streaks == off_streaks == [
+        (s.indices, s.tail_text) for s in find_streaks(log)
+    ]
+    assert on_acc == off_acc
+    assert on_acc.to_dict() == off_acc.to_dict()
+    assert on["comparisons"] == off["comparisons"]
+    assert on["dp_runs"] < off["dp_runs"]
+    assert on["memo_hits"] > off["memo_hits"] > 0
+    assert on["dp_runs"] + on["memo_hits"] == off["dp_runs"] + off["memo_hits"]
+
+
+def test_decision_memo_is_bounded_and_keeps_recent_decisions():
+    """Two generations of 256: old entries fall out, recent hits stay."""
+    memo = _DecisionMemo()
+    for number in range(1000):
+        memo.put((str(number), "q"), number % 2 == 0)
+    assert len(memo.young) + len(memo.old) <= 512
+    assert memo.get(("999", "q")) is False
+    assert memo.get(("0", "q")) is None
+    # An old-generation hit moves to the young one, so it survives the
+    # next rotation, which drops the rest of its old generation.
+    survivor, dropped = list(memo.old)[:2]
+    assert memo.get(survivor) is not None
+    for number in range(1000, 1256):
+        memo.put((str(number), "q"), True)
+    assert memo.get(survivor) is not None
+    assert memo.get(dropped) is None
 
 
 @given(st.lists(_texts, max_size=60), st.integers(1, 8), st.integers(1, 20))
