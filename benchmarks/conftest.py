@@ -16,6 +16,8 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
+# The reference implementations (oracles.py) are shared with tests/.
+sys.path.insert(1, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
 
 import pytest
 

@@ -25,20 +25,15 @@ read it.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
-from _bench_utils import banner
+from _bench_utils import banner, record_ablation
+from oracles import _levenshtein_banded, _levenshtein_full, _similar_reference
 
 from repro.analysis import levenshtein
 from repro.analysis.streaks import (
     SIMILARITY_COUNTERS,
     StreakAccumulator,
-    _levenshtein_banded,
-    _levenshtein_full,
-    _similar_reference,
     strip_prefixes,
     stripped_similar,
 )
@@ -48,18 +43,6 @@ from repro.workload import generate_day_log
 #: Lookbehind used to build realistic comparison pairs: each query
 #: against its predecessors, like the streak scan itself.
 WINDOW = 30
-
-
-def _record_ablation(row: dict) -> None:
-    """Append *row* to the ablation table (keyed by its ``name``)."""
-    out_path = Path(
-        os.environ.get("REPRO_BENCH_ABLATION_JSON", "BENCH_ablation.json")
-    )
-    payload = {}
-    if out_path.exists():
-        payload = json.loads(out_path.read_text(encoding="utf-8"))
-    payload[row["name"]] = row
-    out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _speedup(baseline: float, optimized: float) -> float:
@@ -123,7 +106,7 @@ def test_ablation_levenshtein_engines(benchmark):
     assert bit_decisions == full_decisions
     # And the shipped engine should actually be faster.
     assert bit_elapsed <= full_elapsed * 1.2
-    _record_ablation(
+    record_ablation(
         {
             "name": "levenshtein_engines",
             "pairs": len(pairs),
@@ -168,7 +151,7 @@ def test_ablation_prefilters():
 
     # The provable-lower-bound contract: not one decision may differ.
     assert filtered == reference
-    _record_ablation(
+    record_ablation(
         {
             "name": "prefilters",
             "pairs": len(pairs),
@@ -206,7 +189,7 @@ def test_ablation_dp_memo():
     assert on_acc.to_dict() == off_acc.to_dict()
     assert on["comparisons"] == off["comparisons"]
     assert on["dp_runs"] + on["memo_hits"] == off["dp_runs"] + off["memo_hits"]
-    _record_ablation(
+    record_ablation(
         {
             "name": "dp_memo",
             "queries": len(log),
@@ -249,7 +232,7 @@ def test_ablation_budget_cutoff():
     print(f"speedup:       {_speedup(full_elapsed, cutoff_elapsed):9.2f}x")
 
     assert cutoff == full
-    _record_ablation(
+    record_ablation(
         {
             "name": "budget_cutoff",
             "pairs": len(pairs),
@@ -286,7 +269,7 @@ def test_ablation_lean_ingestion():
     )
     assert lean.study.datasets["day"].total == full.study.datasets["day"].total
     assert lean.study.datasets["day"].valid == 0
-    _record_ablation(
+    record_ablation(
         {
             "name": "lean_ingestion",
             "queries": len(log),

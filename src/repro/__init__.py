@@ -32,74 +32,109 @@ Lower-level quickstart::
     assert shape.cycle
 """
 
-from .analysis import (
-    canonical_graph,
-    canonical_hypergraph,
-    classify_fragments,
-    classify_operators,
-    classify_path,
-    classify_shape,
-    extract_features,
-    find_streaks,
-    hypertree_width,
-    treewidth,
+import importlib
+from typing import Any, Dict, List, Tuple
+
+# The public names and the module each comes from.  They load on first
+# access (PEP 562), so ``import repro`` or ``import repro.cli`` costs
+# only the modules a caller actually uses: every spawned ``repro``
+# process pays the import of each module it touches.
+_EXPORTS: Dict[str, Tuple[str, ...]] = {
+    "analysis": (
+        "canonical_graph",
+        "canonical_hypergraph",
+        "classify_fragments",
+        "classify_operators",
+        "classify_path",
+        "classify_shape",
+        "extract_features",
+        "find_streaks",
+        "hypertree_width",
+        "treewidth",
+    ),
+    "analysis.parallel": (
+        "build_query_log_parallel",
+        "build_query_logs_parallel",
+        "measure_chunk",
+        "merge_shards",
+        "study_corpus_parallel",
+    ),
+    "analysis.study": ("CorpusStudy", "DatasetStats", "measure_query", "study_corpus"),
+    # The root exports the facade's merge_studies (dedup inferred from
+    # the studies themselves); the parallel drivers' lower-level
+    # variant stays importable from repro.analysis.parallel.
+    "api": (
+        "AnalysisRequest",
+        "AnalysisResult",
+        "AnalysisSession",
+        "CoverageCaveats",
+        "WatchCycle",
+        "WatchSession",
+        "analyze",
+        "analyze_corpora",
+        "load_study",
+        "merge_studies",
+        "open_warehouse",
+        "save_study",
+    ),
+    "engine": ("IndexedEngine", "NestedLoopEngine"),
+    "exceptions": (
+        "EvaluationError",
+        "EvaluationTimeout",
+        "LogFormatError",
+        "ReporterRegistrationError",
+        "ReproError",
+        "SparqlSyntaxError",
+        "StudySnapshotError",
+        "WarehouseError",
+        "WatchStateError",
+        "WorkloadError",
+    ),
+    "logs": ("LogShard", "ParseCache", "QueryLog", "build_query_log", "process_entries"),
+    "rdf": ("IRI", "BlankNode", "Graph", "Literal", "Triple", "Variable"),
+    "reporting": (
+        "Reporter",
+        "get_reporter",
+        "register_reporter",
+        "render_report",
+        "reporter_names",
+    ),
+    "sparql": ("parse_query", "serialize_query"),
+    "warehouse": ("StudyWarehouse",),
+    "workload": (
+        "bib_schema",
+        "generate_corpus",
+        "generate_day_log",
+        "generate_graph",
+        "generate_workload",
+    ),
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+#: The layer subpackages, reachable as attributes (``repro.sparql``)
+#: after a bare ``import repro``, as when the root imported them all.
+_SUBPACKAGES = frozenset(
+    {"analysis", "api", "engine", "exceptions", "logs", "rdf", "reporting", "sparql",
+     "warehouse", "workload"}
 )
-from .analysis.parallel import (
-    build_query_log_parallel,
-    build_query_logs_parallel,
-    measure_chunk,
-    merge_shards,
-    study_corpus_parallel,
-)
-from .analysis.study import CorpusStudy, DatasetStats, measure_query, study_corpus
-# The root exports the facade's merge_studies (dedup inferred from the
-# studies themselves); the parallel drivers' lower-level variant stays
-# importable from repro.analysis.parallel.
-from .api import (
-    AnalysisRequest,
-    AnalysisResult,
-    AnalysisSession,
-    CoverageCaveats,
-    WatchCycle,
-    WatchSession,
-    analyze,
-    analyze_corpora,
-    load_study,
-    merge_studies,
-    open_warehouse,
-    save_study,
-)
-from .engine import IndexedEngine, NestedLoopEngine
-from .exceptions import (
-    EvaluationError,
-    EvaluationTimeout,
-    LogFormatError,
-    ReporterRegistrationError,
-    ReproError,
-    SparqlSyntaxError,
-    StudySnapshotError,
-    WarehouseError,
-    WatchStateError,
-    WorkloadError,
-)
-from .logs import LogShard, ParseCache, QueryLog, build_query_log, process_entries
-from .rdf import IRI, BlankNode, Graph, Literal, Triple, Variable
-from .reporting import (
-    Reporter,
-    get_reporter,
-    register_reporter,
-    render_report,
-    reporter_names,
-)
-from .sparql import parse_query, serialize_query
-from .warehouse import StudyWarehouse
-from .workload import (
-    bib_schema,
-    generate_corpus,
-    generate_day_log,
-    generate_graph,
-    generate_workload,
-)
+
+
+def __getattr__(name: str) -> Any:
+    """Import the module behind a public name on first access."""
+    if name in _SOURCES:
+        value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    elif name in _SUBPACKAGES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    """The loaded names and every public one."""
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "2.0.0"
 

@@ -1,5 +1,7 @@
 """Query-log analytics: the paper's core contribution."""
 
+from typing import Any, List
+
 from .canonical import (
     Hypergraph,
     canonical_graph,
@@ -60,11 +62,6 @@ from .property_paths import (
 )
 from .shapes import ShapeProfile, classify_shape
 from .streak_metrics import StreakMetrics, compute_streak_metrics, keyword_evolution
-from .structure_store import (
-    StoreBackedStructureCache,
-    StructureStore,
-    open_structure_cache,
-)
 from .streaks import (
     DEFAULT_STREAK_THRESHOLD,
     DEFAULT_STREAK_WINDOW,
@@ -163,3 +160,22 @@ __all__ = [
     "to_binary_algebra",
     "tree_is_variable_connected",
 ]
+
+# The persistent structure store pulls in SQLite; its names load on
+# first access (PEP 562), so runs without ``--structure-cache`` never
+# import it.
+_STORE_NAMES = frozenset({"StoreBackedStructureCache", "StructureStore", "open_structure_cache"})
+
+
+def __getattr__(name: str) -> Any:
+    """Import the structure store on first access to one of its names."""
+    if name not in _STORE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import structure_store
+
+    return getattr(structure_store, name)
+
+
+def __dir__() -> List[str]:
+    """The loaded names and every public one."""
+    return sorted(set(globals()) | set(__all__))

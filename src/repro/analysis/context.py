@@ -252,6 +252,11 @@ class StructureCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
+    def take_pending(self) -> List[Tuple[str, str, str]]:
+        """Drain the rows queued for a persistent store (a plain LRU
+        queues none; see ``structure_store.StoreBackedStructureCache``)."""
+        return []
+
 
 # ---------------------------------------------------------------------------
 # The per-query context

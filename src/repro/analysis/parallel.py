@@ -78,6 +78,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
 from time import perf_counter
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -99,13 +100,10 @@ from .passes import (
     run_passes,
 )
 from .streaks import SIMILARITY_COUNTERS
-from .structure_store import (
-    StoreBackedStructureCache,
-    StructureStore,
-    open_structure_cache,
-    pending_rows,
-)
 from .study import CorpusStudy, DatasetStats, _claim_streaks
+
+if TYPE_CHECKING:
+    from .structure_store import StructureStore
 
 __all__ = [
     "DEFAULT_STREAM_CHUNK_SIZE",
@@ -380,6 +378,8 @@ def _pool_structure_cache(options: AnalysisOptions) -> StructureCache:
     key = (options.cache_size, options.structure_cache_path)
     cache = _POOL_STRUCTURE_CACHES.get(key)
     if cache is None:
+        from .structure_store import open_structure_cache
+
         cache = _POOL_STRUCTURE_CACHES[key] = open_structure_cache(
             options, readonly=True
         )
@@ -503,7 +503,7 @@ def _pool_measure_chunk(
     study = measure_chunk(
         dataset, queries, dedup=dedup, options=options, cache=cache
     )
-    return pickle.dumps((study, pending_rows(cache)), pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps((study, cache.take_pending()), pickle.HIGHEST_PROTOCOL)
 
 
 def measure_chunk(
@@ -906,6 +906,9 @@ def study_corpus_parallel(
         # the read-only worker attachments always find a valid file.  A
         # degraded open runs the whole study cold: strip the path so
         # every worker doesn't re-warn about the same broken file.
+        # The store module (and SQLite) loads only for runs that use it.
+        from .structure_store import StructureStore
+
         store = StructureStore.open(options.structure_cache_path)
         if store is None:
             options = replace(options, structure_cache_path=None)
@@ -963,6 +966,8 @@ def _study_corpus_parallel(
     # reads *and* queues writes through the parent handle directly.
     run_cache: StructureCache
     if store is not None:
+        from .structure_store import StoreBackedStructureCache
+
         run_cache = StoreBackedStructureCache(options.cache_size, store)
     else:
         run_cache = StructureCache(options.cache_size)
@@ -974,7 +979,7 @@ def _study_corpus_parallel(
             name, chunk, dedup=chunk_dedup, options=chunk_options,
             cache=run_cache,
         )
-        return partial_study, pending_rows(run_cache)
+        return partial_study, run_cache.take_pending()
 
     merger = _TreeMerger(_merge_pair)
     for result in _execute(

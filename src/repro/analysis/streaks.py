@@ -34,7 +34,8 @@ in ``tests/test_streak_prefilters.py``):
 6. **budgeted bit-parallel DP** — Myers' algorithm on the trimmed
    remainders, which stops as soon as a cell on the final diagonal
    exceeds the edit budget.  (The banded DP it replaced survives only
-   as the correctness oracle and ablation baseline.)
+   as the correctness oracle and ablation baseline, in
+   ``tests/oracles.py``.)
 
 See ``docs/PERFORMANCE.md`` for the measured effect of each stage and
 :data:`SIMILARITY_COUNTERS` for per-process instrumentation.
@@ -212,71 +213,6 @@ def _levenshtein_bitparallel(
     if max_distance is not None and distance > max_distance:
         return None
     return distance
-
-
-def _levenshtein_full(a: str, b: str) -> int:
-    previous = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        for j, ch_b in enumerate(b, start=1):
-            cost = 0 if ch_a == ch_b else 1
-            current.append(
-                min(
-                    previous[j] + 1,       # deletion
-                    current[j - 1] + 1,    # insertion
-                    previous[j - 1] + cost,  # substitution
-                )
-            )
-        previous = current
-    return previous[-1]
-
-
-def _levenshtein_banded(a: str, b: str, k: int) -> Optional[int]:
-    """Banded Levenshtein; assumes len(a) ≤ len(b) and len(b)-len(a) ≤ k.
-
-    The band is stored in offset-indexed lists (index d represents
-    column j = i + d - k of row i), which is several times faster than
-    dict-keyed rows — the difference that makes day-log streak scans
-    affordable (see the Levenshtein ablation bench).
-    """
-    len_a, len_b = len(a), len(b)
-    if k == 0:
-        return 0 if a == b else None
-    infinity = k + 1
-    width = 2 * k + 1
-    previous = [infinity] * width
-    for j in range(0, min(len_b, k) + 1):
-        previous[j + k] = j
-    for i in range(1, len_a + 1):
-        current = [infinity] * width
-        window_low = max(0, i - k)
-        window_high = min(len_b, i + k)
-        best_in_row = infinity
-        char_a = a[i - 1]
-        for j in range(window_low, window_high + 1):
-            d = j - i + k
-            if j == 0:
-                value = i
-            else:
-                diagonal = previous[d]
-                if char_a == b[j - 1]:
-                    value = diagonal
-                else:
-                    up = previous[d + 1] if d + 1 < width else infinity
-                    left = current[d - 1] if d >= 1 else infinity
-                    value = (
-                        diagonal if diagonal <= up and diagonal <= left
-                        else (up if up <= left else left)
-                    ) + 1
-            current[d] = value
-            if value < best_in_row:
-                best_in_row = value
-        if best_in_row > k:
-            return None
-        previous = current
-    d_end = len_b - len_a + k
-    distance = previous[d_end] if 0 <= d_end < width else infinity
-    return distance if distance <= k else None
 
 
 @dataclass
@@ -529,29 +465,6 @@ def stripped_similar(
     return prepared_similar(
         PreparedText(stripped_a), PreparedText(stripped_b), threshold
     )
-
-
-def _similar_reference(
-    stripped_a: str, stripped_b: str, threshold: float = DEFAULT_STREAK_THRESHOLD
-) -> bool:
-    """The pre-prefilter kernel, kept verbatim as the correctness oracle.
-
-    ``tests/test_streak_prefilters.py`` property-tests
-    :func:`stripped_similar` against this on arbitrary pairs — the
-    filter chain must never flip a decision.
-    """
-    if stripped_a == stripped_b:
-        return True
-    longest = max(len(stripped_a), len(stripped_b))
-    if longest == 0:
-        return True
-    budget = int(longest * threshold)
-    a, b = stripped_a, stripped_b
-    if len(a) > len(b):
-        a, b = b, a
-    if len(b) - len(a) > budget:
-        return False
-    return _levenshtein_banded(a, b, budget) is not None
 
 
 def queries_similar(

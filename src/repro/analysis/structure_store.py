@@ -34,6 +34,7 @@ never an exception — deleting the file is always safe.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import sqlite3
@@ -54,7 +55,6 @@ __all__ = [
     "decode_entry",
     "encode_entry",
     "open_structure_cache",
-    "pending_rows",
     "signature_hash",
 ]
 
@@ -91,10 +91,10 @@ def code_version() -> str:
     this digest, and with it the store key — entries computed by older
     code are never served to newer code (or vice versa).
     """
-    from . import canonical, context, hypertree, shapes, treewidth
-
     digest = hashlib.sha256()
-    for module in (canonical, context, hypertree, shapes, treewidth):
+    for name in ("canonical", "context", "hypertree", "shapes", "treewidth"):
+        # By module path: the package attribute ``treewidth`` is the function.
+        module = importlib.import_module(f".{name}", __package__)
         digest.update(Path(module.__file__).read_bytes())
     return digest.hexdigest()[:16]
 
@@ -505,10 +505,3 @@ def open_structure_cache(options: Any, *, readonly: bool = False) -> StructureCa
         return StructureCache(options.cache_size)
     store = StructureStore.open(path, readonly=readonly)
     return StoreBackedStructureCache(options.cache_size, store)
-
-
-def pending_rows(cache: Optional[StructureCache]) -> List[Tuple[str, str, str]]:
-    """Drain a cache's pending store rows ([] for plain caches)."""
-    if isinstance(cache, StoreBackedStructureCache):
-        return cache.take_pending()
-    return []

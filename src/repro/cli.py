@@ -44,7 +44,6 @@ from typing import List, Optional, Sequence
 
 from .analysis.context import DEFAULT_SHAPE_NODE_LIMIT, DEFAULT_STRUCTURE_CACHE_SIZE
 from .analysis.passes import PASS_NAMES, SEQUENCE_PASS_NAMES
-from .analysis.structure_store import StructureStore
 from .analysis.streaks import DEFAULT_STREAK_THRESHOLD, DEFAULT_STREAK_WINDOW
 from .api import (
     AnalysisRequest,
@@ -54,9 +53,7 @@ from .api import (
     load_study,
     save_study,
 )
-from .engine import IndexedEngine, NestedLoopEngine
 from .exceptions import StudySnapshotError, WarehouseError, WatchStateError
-from .warehouse import StudyWarehouse
 from .logs import encode_access_log_line
 from .reporting import (
     get_reporter,
@@ -66,13 +63,10 @@ from .reporting import (
     render_table6_from_study,
     reporter_names,
 )
-from .workload import (
-    bib_schema,
-    generate_corpus,
-    generate_day_log,
-    generate_graph,
-    generate_workload,
-)
+
+# Verb-specific layers (engine, workload, warehouse, the structure
+# store) are imported inside the verbs that use them: every spawned
+# ``repro`` process pays for each module it imports.
 
 __all__ = ["main"]
 
@@ -191,6 +185,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
+    from .workload import generate_corpus
+
     corpus = generate_corpus(scale=args.scale, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -205,6 +201,9 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure3(args: argparse.Namespace) -> int:
+    from .engine import IndexedEngine, NestedLoopEngine
+    from .workload import bib_schema, generate_graph, generate_workload
+
     schema = bib_schema()
     graph = generate_graph(schema, args.nodes, seed=args.seed)
     print(f"graph: {len(graph):,} triples")
@@ -241,6 +240,8 @@ def _cmd_streaks(args: argparse.Namespace) -> int:
         lean=False if args.full_ingestion else None,
     )
     if args.synthetic:
+        from .workload import generate_day_log
+
         queries: Sequence[str] = generate_day_log(
             n_queries=args.synthetic, seed=args.seed
         )
@@ -321,6 +322,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Inspect (`stats`) or empty (`clear`) a persistent structure cache."""
+    from .analysis.structure_store import StructureStore
+
     path = Path(args.store)
     if not path.exists():
         print(f"cache: {args.store}: no such file", file=sys.stderr)
@@ -364,6 +367,8 @@ def _emit_page(total: int, items: List[dict]) -> None:
 
 
 def _cmd_warehouse_ingest(args: argparse.Namespace) -> int:
+    from .warehouse import StudyWarehouse
+
     try:
         with StudyWarehouse.open(args.store) as warehouse:
             for path in args.studies:
@@ -394,6 +399,8 @@ def _cmd_warehouse_query(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"warehouse: {error}", file=sys.stderr)
         return 2
+    from .warehouse import StudyWarehouse
+
     try:
         with StudyWarehouse.open(args.store, readonly=True) as warehouse:
             if args.search is not None:
@@ -435,6 +442,8 @@ def _cmd_warehouse_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_warehouse_stats(args: argparse.Namespace) -> int:
+    from .warehouse import StudyWarehouse
+
     try:
         with StudyWarehouse.open(args.store, readonly=True) as warehouse:
             stats = warehouse.stats()

@@ -8,14 +8,24 @@ keywords/identifiers, property-path and expression punctuation, and
 comments.  Positions (1-based line/column) are tracked for error
 messages, which the log pipeline surfaces when counting invalid queries.
 
+One compiled pattern does the scanning: each match skips whitespace and
+comments, then takes exactly one token.  Its alternatives are tried in
+the order that resolves the grammar's ambiguities (a variable before the
+``?`` operator, a prefixed name before a keyword, a number before
+``.``), and each ends in an empty marker group, so ``match.lastindex``
+names the token kind.  Positions come from newline offsets in the
+consumed spans.  String literals without escapes are taken whole by the
+pattern; only literals with escapes (or errors) go through the escape
+decoder.
+
 Paper mapping: first stage of the sec 2 validity check (Table 1).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, List
+import sys
+from typing import Iterator, List, NamedTuple, Tuple
 
 from ..exceptions import SparqlSyntaxError
 
@@ -41,9 +51,13 @@ class TokenType:
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source position."""
+class Token(NamedTuple):
+    """One lexical token with its source position.
+
+    An immutable record, as a frozen dataclass would be; a named tuple
+    because the lexer makes one per token and a tuple is several times
+    cheaper to build.
+    """
 
     type: str
     value: str
@@ -62,32 +76,110 @@ class Token:
         return f"Token({self.type}, {self.value!r}, {self.line}:{self.column})"
 
 
-# PN_CHARS_BASE from the SPARQL grammar, approximated with broad unicode
-# ranges (the logs' queries use ASCII plus occasional accented names).
-_PN_BASE = "A-Za-zÀ-ÖØ-öø-˿Ͱ-ͽͿ-῿" \
-    "‌-‍⁰-↏Ⰰ-⿯、-퟿豈-﷏ﷰ-�"
-_PN_U = _PN_BASE + "_"
-_PN_CHARS = _PN_U + r"0-9·̀-ͯ‿-⁀-"
+# PN_CHARS_BASE from the SPARQL grammar as code point ranges,
+# approximated with broad unicode ranges (the logs' queries use ASCII
+# plus occasional accented names).
+_PN_BASE = (
+    (0x41, 0x5A), (0x61, 0x7A), (0xC0, 0xD6), (0xD8, 0xF6), (0xF8, 0x2FF),
+    (0x370, 0x37D), (0x37F, 0x1FFF), (0x200C, 0x200D), (0x2070, 0x218F),
+    (0x2C00, 0x2FEF), (0x3001, 0xD7FF), (0xF900, 0xFDCF), (0xFDF0, 0xFFFD),
+)
+_PN_U = _PN_BASE + ((0x5F, 0x5F),)  # _
+_DIGIT = ((0x30, 0x39),)
+_COLON = ((0x3A, 0x3A),)
+_VARNAME = _PN_U + _DIGIT + ((0xB7, 0xB7), (0x300, 0x36F), (0x203F, 0x2040))
+_PN_CHARS = _VARNAME + ((0x2D, 0x2D),)  # -
 
-_IRIREF_RE = re.compile(r"<([^<>\"{}|^`\\\x00-\x20]*)>")
-_VAR_RE = re.compile(rf"[?$]([{_PN_U}0-9][{_PN_U}0-9·̀-ͯ‿-⁀]*)")
-# Local part allows dots internally, percent-escapes and backslash escapes (PN_LOCAL).
+
+def _chars(ranges: Tuple[Tuple[int, int], ...]) -> str:
+    """A regex character class matching exactly the code points in *ranges*.
+
+    Spelled as the negation of its complement: compiling a class fills
+    a 64K-entry map in a Python loop over every code point the class
+    lists, once per occurrence in a pattern.  The name classes here
+    list ~53K code points each, their complements ~11K, and the token
+    pattern holds ten of them.
+    """
+    gaps, start = [], 0
+    for low, high in sorted(ranges):
+        if low > start:
+            gaps.append((start, low - 1))
+        start = max(start, high + 1)
+    gaps.append((start, sys.maxunicode))
+    return "[^" + "".join(rf"\U{low:08x}-\U{high:08x}" for low, high in gaps) + "]"
+
+
+# PLX of PN_LOCAL: a percent-escape or a backslash escape.
 _PLX = r"(?:%[0-9A-Fa-f]{2}|\\[_~.\-!$&'()*+,;=/?#@%])"
-_PNAME_RE = re.compile(
-    rf"(?:[{_PN_BASE}][{_PN_CHARS}.]*[{_PN_CHARS}]|[{_PN_BASE}])?:"
-    rf"(?:(?:[{_PN_U}0-9:]|{_PLX})(?:(?:[{_PN_CHARS}.:]|{_PLX})*(?:[{_PN_CHARS}:]|{_PLX}))?)?"
-)
-_BLANK_RE = re.compile(rf"_:[{_PN_U}0-9](?:[{_PN_CHARS}.]*[{_PN_CHARS}])?")
-_LANGTAG_RE = re.compile(r"@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
-_NUMBER_RE = re.compile(
-    r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
-)
-_KEYWORD_RE = re.compile(rf"[{_PN_BASE}_][{_PN_U}0-9]*")
 
-# Multi-character punctuation, longest first.
-_MULTI_PUNCT = ("^^", "||", "&&", "!=", "<=", ">=")
+# Whitespace and comments before a token.
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
 
-_STRING_OPENERS = ('"""', "'''", '"', "'")
+# Kinds of match that are not one plain token (see tokenize()).
+_ANON, _NIL, _LONG, _OPEN, _EOF, _BAD = "ANON", "NIL", "LONG", "OPEN", "EOF", "BAD"
+
+# (pattern, kind) in match order.  A plain kind is (token type, leading
+# characters, trailing characters): the token's value is the match
+# without them.  Most patterns start with one literal or class, which
+# lets the regex engine skip them on the first character.
+# Names that may not end in a dot, ``[x.]*[x]`` in the grammar, are
+# spelled ``(?:\.*[x])*``: the same strings, one class occurrence fewer.
+_ALTERNATIVES = (
+    (rf"[?$]{_chars(_PN_U + _DIGIT)}{_chars(_VARNAME)}*", (TokenType.VAR, 1, 0)),
+    # PN_PREFIX? ':' PN_LOCAL?  The first character is a prefix
+    # character or the colon itself; the lookbehind tells which.
+    (
+        rf"{_chars(_PN_BASE + _COLON)}(?:(?<=:)|(?:\.*{_chars(_PN_CHARS)})*:)"
+        rf"(?:(?:{_chars(_PN_U + _DIGIT + _COLON)}|{_PLX})"
+        rf"(?:\.*(?:{_chars(_PN_CHARS + _COLON)}|{_PLX}))*)?",
+        (TokenType.PNAME, 0, 0),
+    ),
+    (r"<[^<>\"{}|^`\\\x00-\x20]*>", (TokenType.IRIREF, 1, 1)),
+    (rf"_:{_chars(_PN_U + _DIGIT)}(?:\.*{_chars(_PN_CHARS)})*", (TokenType.BLANK_NODE, 2, 0)),
+    (rf"{_chars(_PN_U)}{_chars(_PN_U + _DIGIT)}*", (TokenType.KEYWORD, 0, 0)),
+    (r"[0-9]+(?:\.[0-9]*)?[eE][+-]?[0-9]+", (TokenType.DOUBLE, 0, 0)),
+    (r"\.[0-9]+[eE][+-]?[0-9]+", (TokenType.DOUBLE, 0, 0)),
+    (r"[0-9]+\.[0-9]*", (TokenType.DECIMAL, 0, 0)),
+    (r"\.[0-9]+", (TokenType.DECIMAL, 0, 0)),
+    (r"[0-9]+", (TokenType.INTEGER, 0, 0)),
+    # ANON [] and NIL () — whitespace inside is allowed.
+    (r"\[[ \t\r\n]*\]", _ANON),
+    (r"\([ \t\r\n]*\)", _NIL),
+    # A string literal free of escapes (and, in the short forms, of
+    # line breaks) is one match; any other leaves its opener to
+    # _scan_string.
+    (r'"""[^\\]*?"""', _LONG),
+    (r'"""', _OPEN),
+    (r"'''[^\\]*?'''", _LONG),
+    (r"'''", _OPEN),
+    (r'"[^"\\\n\r]*"', (TokenType.STRING, 1, 1)),
+    (r'"', _OPEN),
+    (r"'[^'\\\n\r]*'", (TokenType.STRING, 1, 1)),
+    (r"'", _OPEN),
+    (r"@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*", (TokenType.LANGTAG, 1, 0)),
+    # Multi-character punctuation first.
+    (r"(?:\^\^|\|\||&&|!=|<=|>=|[{}()\[\];,.*/|^?+!<>=\-&])", (TokenType.PUNCT, 0, 0)),
+    (r"\Z", _EOF),
+    # Any other character is an error.  As some alternative always
+    # matches where the skip ends, no match backtracks into the skip.
+    (r"(?s:.)", _BAD),
+)
+
+# Group 1 is the skipped prefix; alternative i ends in group i + 2.
+_TOKEN_RE = re.compile(
+    f"({_SKIP})(?:" + "|".join(f"{pattern}()" for pattern, _ in _ALTERNATIVES) + ")"
+)
+_KINDS = (None, None) + tuple(kind for _, kind in _ALTERNATIVES)
+
+# Where a string literal's body may stop: its closer, an escape or, in
+# the short forms, a line break.
+_STRING_STOPS = {
+    '"""': re.compile(r'\\|"""'),
+    "'''": re.compile(r"\\|'''"),
+    '"': re.compile(r'[\\"\n\r]'),
+    "'": re.compile(r"[\\'\n\r]"),
+}
+_UCHAR = {"u": re.compile(r"[0-9A-Fa-f]{4}"), "U": re.compile(r"[0-9A-Fa-f]{8}")}
 
 _ECHAR = {
     "t": "\t",
@@ -101,91 +193,49 @@ _ECHAR = {
 }
 
 
-class _Cursor:
-    """Tracks position in the source text with line/column accounting."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def eof(self) -> bool:
-        """Whether the cursor is at end of input."""
-        return self.pos >= len(self.text)
-
-    def peek(self, offset: int = 0) -> str:
-        """The token *offset* ahead of the cursor (EOF-safe)."""
-        index = self.pos + offset
-        if index < len(self.text):
-            return self.text[index]
-        return ""
-
-    def startswith(self, prefix: str) -> bool:
-        """Whether the upcoming characters start with *prefix*."""
-        return self.text.startswith(prefix, self.pos)
-
-    def advance(self, count: int) -> str:
-        """Consume and return the next *count* characters."""
-        chunk = self.text[self.pos : self.pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return chunk
+def _position(text: str, index: int) -> Tuple[int, int]:
+    """1-based (line, column) of *index* in *text*."""
+    return text.count("\n", 0, index) + 1, index - text.rfind("\n", 0, index)
 
 
-def _scan_string(cursor: _Cursor) -> str:
-    """Scan a string literal at the cursor; return its *decoded* value."""
-    opener = next(o for o in _STRING_OPENERS if cursor.startswith(o))
-    start_line, start_col = cursor.line, cursor.column
-    cursor.advance(len(opener))
-    long_form = len(opener) == 3
-    out: List[str] = []
+def _scan_string(
+    text: str, start: int, opener: str, line: int, column: int
+) -> Tuple[str, int]:
+    """Decode the string literal whose body starts at *start*.
+
+    Returns the value and the index just past the closer.  *line* and
+    *column* are the literal's own position, where an unterminated
+    literal is reported.
+    """
+    stop = _STRING_STOPS[opener]
+    pieces: List[str] = []
+    pos = start
     while True:
-        if cursor.eof():
-            raise SparqlSyntaxError("unterminated string literal", start_line, start_col)
-        if cursor.startswith(opener):
-            cursor.advance(len(opener))
-            return "".join(out)
-        ch = cursor.peek()
-        if ch == "\\":
-            escape = cursor.peek(1)
-            if escape in _ECHAR:
-                out.append(_ECHAR[escape])
-                cursor.advance(2)
-            elif escape == "u":
-                code = cursor.text[cursor.pos + 2 : cursor.pos + 6]
-                try:
-                    out.append(chr(int(code, 16)))
-                except ValueError:
-                    raise SparqlSyntaxError(
-                        f"bad \\u escape: {code!r}", cursor.line, cursor.column
-                    ) from None
-                cursor.advance(6)
-            elif escape == "U":
-                code = cursor.text[cursor.pos + 2 : cursor.pos + 10]
-                try:
-                    out.append(chr(int(code, 16)))
-                except ValueError:
-                    raise SparqlSyntaxError(
-                        f"bad \\U escape: {code!r}", cursor.line, cursor.column
-                    ) from None
-                cursor.advance(10)
-            else:
+        found = stop.search(text, pos)
+        if found is None:
+            raise SparqlSyntaxError("unterminated string literal", line, column)
+        index = found.start()
+        pieces.append(text[pos:index])
+        if found.group() == opener:
+            return "".join(pieces), found.end()
+        if text[index] != "\\":
+            raise SparqlSyntaxError("newline in short string literal", *_position(text, index))
+        escape = text[index + 1 : index + 2]
+        if escape in _ECHAR:
+            pieces.append(_ECHAR[escape])
+            pos = index + 2
+        elif escape in _UCHAR:
+            pos = index + (6 if escape == "u" else 10)
+            code = text[index + 2 : pos]
+            if not _UCHAR[escape].fullmatch(code) or int(code, 16) > sys.maxunicode:
                 raise SparqlSyntaxError(
-                    f"unknown string escape: \\{escape}", cursor.line, cursor.column
+                    f"bad \\{escape} escape: {code!r}", *_position(text, index)
                 )
-        elif not long_form and ch in "\n\r":
-            raise SparqlSyntaxError(
-                "newline in short string literal", cursor.line, cursor.column
-            )
+            pieces.append(chr(int(code, 16)))
         else:
-            out.append(ch)
-            cursor.advance(1)
+            raise SparqlSyntaxError(
+                f"unknown string escape: \\{escape}", *_position(text, index)
+            )
 
 
 def tokenize(text: str) -> List[Token]:
@@ -194,118 +244,46 @@ def tokenize(text: str) -> List[Token]:
     Raises :class:`SparqlSyntaxError` on characters that cannot start
     any SPARQL token.
     """
-    cursor = _Cursor(text)
+    match = _TOKEN_RE.match
     tokens: List[Token] = []
-    while not cursor.eof():
-        ch = cursor.peek()
-        if ch in " \t\r\n":
-            cursor.advance(1)
+    append = tokens.append
+    pos = 0
+    line = 1
+    line_start = 0  # index of the current line's first character
+    while True:
+        found = match(text, pos)
+        start = found.end(1)
+        if start != pos:
+            newlines = text.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, start) + 1
+        pos = found.end()
+        kind = _KINDS[found.lastindex]
+        column = start - line_start + 1
+        if type(kind) is tuple:
+            token_type, lead, trail = kind
+            append(Token(token_type, text[start + lead : pos - trail], line, column))
             continue
-        if ch == "#":
-            while not cursor.eof() and cursor.peek() != "\n":
-                cursor.advance(1)
-            continue
-        line, column = cursor.line, cursor.column
-
-        # Strings must be checked before punctuation (quote chars).
-        if any(cursor.startswith(o) for o in _STRING_OPENERS):
-            value = _scan_string(cursor)
-            tokens.append(Token(TokenType.STRING, value, line, column))
-            continue
-
-        if ch == "<":
-            match = _IRIREF_RE.match(cursor.text, cursor.pos)
-            if match:
-                cursor.advance(match.end() - cursor.pos)
-                tokens.append(Token(TokenType.IRIREF, match.group(1), line, column))
-                continue
-            # Not an IRI: fall through to '<' / '<=' operator.
-
-        if ch in "?$":
-            match = _VAR_RE.match(cursor.text, cursor.pos)
-            if match:
-                cursor.advance(match.end() - cursor.pos)
-                tokens.append(Token(TokenType.VAR, match.group(1), line, column))
-                continue
-            # A bare '?' is the property-path "zero or one" operator.
-
-        if ch == "_" and cursor.peek(1) == ":":
-            match = _BLANK_RE.match(cursor.text, cursor.pos)
-            if match:
-                value = match.group(0)[2:]
-                cursor.advance(match.end() - cursor.pos)
-                tokens.append(Token(TokenType.BLANK_NODE, value, line, column))
-                continue
-
-        if ch == "@":
-            match = _LANGTAG_RE.match(cursor.text, cursor.pos)
-            if match:
-                cursor.advance(match.end() - cursor.pos)
-                tokens.append(Token(TokenType.LANGTAG, match.group(0)[1:], line, column))
-                continue
-            raise SparqlSyntaxError("bad language tag", line, column)
-
-        if ch.isdigit() or (ch == "." and cursor.peek(1).isdigit()):
-            match = _NUMBER_RE.match(cursor.text, cursor.pos)
-            assert match is not None
-            value = match.group(0)
-            cursor.advance(len(value))
-            if "e" in value.lower():
-                token_type = TokenType.DOUBLE
-            elif "." in value:
-                token_type = TokenType.DECIMAL
-            else:
-                token_type = TokenType.INTEGER
-            tokens.append(Token(token_type, value, line, column))
-            continue
-
-        # ANON [] and NIL () — significant whitespace inside is allowed.
-        if ch == "[":
-            match = re.compile(r"\[[ \t\r\n]*\]").match(cursor.text, cursor.pos)
-            if match:
-                cursor.advance(match.end() - cursor.pos)
-                tokens.append(Token(TokenType.ANON, "[]", line, column))
-                continue
-        if ch == "(":
-            match = re.compile(r"\([ \t\r\n]*\)").match(cursor.text, cursor.pos)
-            if match:
-                cursor.advance(match.end() - cursor.pos)
-                tokens.append(Token(TokenType.NIL, "()", line, column))
-                continue
-
-        # Prefixed names (must come before keyword so "rdf:type" lexes
-        # as one PNAME, and before ':' punctuation).
-        match = _PNAME_RE.match(cursor.text, cursor.pos)
-        if match and match.group(0):
-            value = match.group(0)
-            # Strip trailing dot ambiguity: "ns:local." ends a triple.
-            while value.endswith("."):
-                value = value[:-1]
-            if ":" in value:
-                cursor.advance(len(value))
-                tokens.append(Token(TokenType.PNAME, value, line, column))
-                continue
-
-        keyword_match = _KEYWORD_RE.match(cursor.text, cursor.pos)
-        if keyword_match:
-            value = keyword_match.group(0)
-            cursor.advance(len(value))
-            tokens.append(Token(TokenType.KEYWORD, value, line, column))
-            continue
-
-        for punct in _MULTI_PUNCT:
-            if cursor.startswith(punct):
-                cursor.advance(len(punct))
-                tokens.append(Token(TokenType.PUNCT, punct, line, column))
-                break
+        if kind is _EOF:
+            append(Token(TokenType.EOF, "", line, column))
+            return tokens
+        if kind is _BAD:
+            char = text[start]
+            message = "bad language tag" if char == "@" else f"unexpected character {char!r}"
+            raise SparqlSyntaxError(message, line, column)
+        if kind is _OPEN:
+            value, pos = _scan_string(text, pos, text[start:pos], line, column)
+            append(Token(TokenType.STRING, value, line, column))
+        elif kind is _LONG:
+            append(Token(TokenType.STRING, text[start + 3 : pos - 3], line, column))
         else:
-            if ch in "{}()[];,.*/|^?+!<>=-&":
-                cursor.advance(1)
-                tokens.append(Token(TokenType.PUNCT, ch, line, column))
-            else:
-                raise SparqlSyntaxError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token(TokenType.EOF, "", cursor.line, cursor.column))
-    return tokens
+            append(Token(kind, "[]" if kind is _ANON else "()", line, column))
+        # Only these tokens can span lines.
+        newlines = text.count("\n", start, pos)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", start, pos) + 1
 
 
 def iter_significant(tokens: List[Token]) -> Iterator[Token]:

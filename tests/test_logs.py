@@ -1,6 +1,9 @@
 """Unit tests for log formats and the clean/parse/dedup pipeline."""
 
+import urllib.parse
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.exceptions import LogFormatError
 from repro.logs import (
@@ -9,6 +12,7 @@ from repro.logs import (
     iter_queries,
     parse_access_log_line,
 )
+from repro.logs.formats import _DECODE_MEMO_SIZE, _query_parameter
 
 
 QUERY = 'SELECT ?x WHERE { ?x <urn:p> "a b&c" }'
@@ -44,6 +48,43 @@ class TestAccessLogFormat:
             encode_access_log_line("SELECT * WHERE { ?s ?p ?o }"),
         ]
         assert len(list(iter_queries(lines))) == 2
+
+    def test_iter_queries_equals_per_line_decoding(self):
+        # More distinct requests than the memo holds, each seen twice:
+        # once while remembered, once after it was evicted.
+        queries = [f"ASK {{ ?s <urn:p{i}> ?o }}" for i in range(_DECODE_MEMO_SIZE + 50)]
+        lines = [encode_access_log_line(query) for query in queries] * 2
+        lines.insert(5, lines[3])  # a repeat the memo serves
+        decoded = [parse_access_log_line(line).query for line in lines]
+        assert list(iter_queries(lines)) == decoded
+
+    def test_decode_memo_is_bounded(self):
+        lines = (encode_access_log_line(f"ASK {{ ?s ?p {i} }}") for i in range(3000))
+        queries = iter_queries(lines)
+        for _ in range(2500):
+            next(queries)
+        assert len(queries.gi_frame.f_locals["memo"]) == _DECODE_MEMO_SIZE
+
+
+_QUERY_STRING_PIECES = st.sampled_from(
+    ["query", "qu%65ry", "Query", "format", "=", "&", ";", "+", "%", "%4", "%zz",
+     "%41", "%C3%A9", "%C3", "%FF", "%26", "%3D", "%2B", "x", " ", "é"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_QUERY_STRING_PIECES | st.text(max_size=3), max_size=12).map("".join))
+@example("query=a+b%20c")
+@example("query=%zz%4%")
+@example("qu%65ry=encoded+name")
+@example("query=first&query=second")
+@example("format=json;query=x&query=y;z")
+@example("query&query=later")
+@example("query=")
+@example("query=%C3%28%FF")
+def test_query_parameter_matches_parse_qs(query_string):
+    parsed = urllib.parse.parse_qs(query_string, keep_blank_values=True)
+    assert _query_parameter(query_string) == parsed.get("query", [None])[0]
 
 
 class TestPipeline:

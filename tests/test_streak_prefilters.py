@@ -26,14 +26,13 @@ import string
 
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import _levenshtein_full, _similar_reference
 from repro.analysis.streaks import (
     PreparedText,
     SIMILARITY_COUNTERS,
     StreakAccumulator,
     StreakDetector,
     _DecisionMemo,
-    _levenshtein_full,
-    _similar_reference,
     bag_distance_bound,
     find_streaks,
     levenshtein,

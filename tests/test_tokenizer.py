@@ -123,3 +123,51 @@ class TestCommentsAndPositions:
     def test_eof_token_always_present(self):
         assert tokenize("")[-1].type == TokenType.EOF
         assert tokenize("?x")[-1].type == TokenType.EOF
+
+
+class TestRegressions:
+    @pytest.mark.parametrize(
+        "text",
+        [r'"\u+041"', r'"\u 041"', r'"\u0_41"', r'"\U+0000041"', r'"\u004"', r'"\u12'],
+    )
+    def test_unicode_escape_needs_hex_digits(self, text):
+        # int(code, 16) tolerates signs, underscores and spaces; the
+        # grammar's UCHAR takes exactly 4 or 8 hex digits.
+        with pytest.raises(SparqlSyntaxError, match=r"bad \\[uU] escape") as info:
+            tokenize(text)
+        assert (info.value.line, info.value.column) == (1, 2)
+
+    def test_unicode_escape_out_of_range(self):
+        with pytest.raises(SparqlSyntaxError, match=r"bad \\U escape"):
+            tokenize(r'"\U00110000"')
+
+    def test_unicode_escapes_decode(self):
+        assert tokenize(r'"é\U0001F600"')[0].value == "é\U0001F600"
+
+    @pytest.mark.parametrize(
+        "text, pname",
+        [(r"ex:a\.", r"ex:a\."), (r"ex:a\.\.", r"ex:a\.\."), (r"ex:\. ?o", r"ex:\.")],
+    )
+    def test_pname_keeps_escaped_trailing_dot(self, text, pname):
+        tokens = tokenize(text)
+        assert (tokens[0].type, tokens[0].value) == (TokenType.PNAME, pname)
+        assert not any(t.is_punct(".") for t in tokens)
+
+    def test_escaped_backslash_is_not_a_local_escape(self):
+        with pytest.raises(SparqlSyntaxError, match="unexpected character"):
+            tokenize(r"ex:a\\.")
+
+    @pytest.mark.parametrize("text", ["1²", "²"])
+    def test_superscript_digit_is_a_syntax_error(self, text):
+        # str.isdigit() holds for superscripts, which the number pattern
+        # never matched: the lexer failed an assertion here.
+        with pytest.raises(SparqlSyntaxError, match="unexpected character"):
+            tokenize(text)
+
+    def test_numbers_take_ascii_digits_only(self):
+        # INTEGER is [0-9]+ in the grammar; other decimal digits are
+        # name characters.
+        assert kinds(".٣ ٣") == [TokenType.PUNCT, TokenType.KEYWORD, TokenType.KEYWORD]
+
+    def test_ascii_number_forms(self):
+        assert values("1. .5 2e3 1.5E-2") == ["1.", ".5", "2e3", "1.5E-2"]
