@@ -136,7 +136,7 @@ def __dir__() -> List[str]:
     return sorted(set(globals()) | set(__all__))
 
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AnalysisRequest",

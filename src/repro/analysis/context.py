@@ -105,13 +105,6 @@ class AnalysisOptions:
     #: ingestion drivers only when the selected metrics contain no
     #: per-query pass (per-query passes need parsed ASTs).
     lean_ingestion: bool = False
-    #: Path of the persistent cross-run structure store (SQLite; see
-    #: :mod:`repro.analysis.structure_store`).  ``None`` (the default)
-    #: keeps the cache purely in-memory.  The store is transparent —
-    #: warm, cold and store-less runs are byte-identical — and
-    #: expendable: an unusable file degrades to a cold run with a
-    #: warning.
-    structure_cache_path: Optional[str] = None
 
 
 #: Default options instance shared by every driver entry point.
@@ -251,11 +244,6 @@ class StructureCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-
-    def take_pending(self) -> List[Tuple[str, str, str]]:
-        """Drain the rows queued for a persistent store (a plain LRU
-        queues none; see ``structure_store.StoreBackedStructureCache``)."""
-        return []
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,6 @@ from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
 from time import perf_counter
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -101,9 +100,6 @@ from .passes import (
 )
 from .streaks import SIMILARITY_COUNTERS
 from .study import CorpusStudy, DatasetStats, _claim_streaks
-
-if TYPE_CHECKING:
-    from .structure_store import StructureStore
 
 __all__ = [
     "DEFAULT_STREAM_CHUNK_SIZE",
@@ -358,10 +354,10 @@ class WorkerPool:
 _POOL_PARSE_CACHES: Dict[object, ParseCache] = {}
 
 #: Keyed per-worker structure caches of pool workers, one per
-#: (cache_size, structure_cache_path) — the option fields the cache is
-#: built from.  Warm entries surviving across runs is exactly the
-#: cache-transparency invariant: results never change, only timings.
-_POOL_STRUCTURE_CACHES: Dict[Tuple[int, Optional[str]], StructureCache] = {}
+#: ``cache_size`` — the option field the cache is built from.  Warm
+#: entries surviving across runs is exactly the cache-transparency
+#: invariant: results never change, only timings.
+_POOL_STRUCTURE_CACHES: Dict[int, StructureCache] = {}
 
 
 def _pool_parse_cache(extra_prefixes: Optional[Dict[str, str]]) -> ParseCache:
@@ -375,13 +371,10 @@ def _pool_parse_cache(extra_prefixes: Optional[Dict[str, str]]) -> ParseCache:
 
 
 def _pool_structure_cache(options: AnalysisOptions) -> StructureCache:
-    key = (options.cache_size, options.structure_cache_path)
-    cache = _POOL_STRUCTURE_CACHES.get(key)
+    cache = _POOL_STRUCTURE_CACHES.get(options.cache_size)
     if cache is None:
-        from .structure_store import open_structure_cache
-
-        cache = _POOL_STRUCTURE_CACHES[key] = open_structure_cache(
-            options, readonly=True
+        cache = _POOL_STRUCTURE_CACHES[options.cache_size] = StructureCache(
+            options.cache_size
         )
     return cache
 
@@ -503,7 +496,7 @@ def _pool_measure_chunk(
     study = measure_chunk(
         dataset, queries, dedup=dedup, options=options, cache=cache
     )
-    return pickle.dumps((study, cache.take_pending()), pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps(study, pickle.HIGHEST_PROTOCOL)
 
 
 def measure_chunk(
@@ -525,7 +518,6 @@ def measure_chunk(
     profile = PassProfile() if options.profile else None
     hits_before = cache.hits if cache is not None else 0
     misses_before = cache.misses if cache is not None else 0
-    store_before = getattr(cache, "store_hits", 0)
     study = CorpusStudy(dedup=dedup)
     stats = DatasetStats(name=dataset)
     study.datasets[dataset] = stats
@@ -544,7 +536,6 @@ def measure_chunk(
         if cache is not None:
             profile.cache_hits = cache.hits - hits_before
             profile.cache_misses = cache.misses - misses_before
-            profile.store_hits = getattr(cache, "store_hits", 0) - store_before
         study.pass_profile = profile
     return study
 
@@ -899,45 +890,6 @@ def study_corpus_parallel(
     workers = pool.workers if pool is not None else resolve_workers(workers)
     if options is None:
         options = DEFAULT_OPTIONS
-    store: Optional[StructureStore] = None
-    if options.structure_cache_path is not None:
-        # The parent is the store's single writer.  Open (initializing
-        # the schema if needed) *before* any pool work is submitted, so
-        # the read-only worker attachments always find a valid file.  A
-        # degraded open runs the whole study cold: strip the path so
-        # every worker doesn't re-warn about the same broken file.
-        # The store module (and SQLite) loads only for runs that use it.
-        from .structure_store import StructureStore
-
-        store = StructureStore.open(options.structure_cache_path)
-        if store is None:
-            options = replace(options, structure_cache_path=None)
-    try:
-        return _study_corpus_parallel(
-            logs, dedup, workers, chunk_size, options, store, pool, transport
-        )
-    finally:
-        if store is not None:
-            store.close()
-
-
-def _study_corpus_parallel(
-    logs: Mapping[str, QueryLog],
-    dedup: bool,
-    workers: int,
-    chunk_size: Optional[int],
-    options: AnalysisOptions,
-    store: Optional[StructureStore],
-    pool: Optional[WorkerPool],
-    transport: Optional[TransportStats],
-) -> CorpusStudy:
-    """The driver body behind :func:`study_corpus_parallel`.
-
-    *store* (when given) is the parent's writable handle on the
-    persistent structure store: every merged chunk's pending rows are
-    flushed through it at the chunk boundary — batched upserts, so
-    duplicate discoveries across workers are harmless.
-    """
     study = CorpusStudy(dedup=dedup)
     if options.profile:
         # A profiled run reports a profile even when nothing was measured.
@@ -962,36 +914,26 @@ def _study_corpus_parallel(
     # The in-process executor shares one run-local cache across all
     # chunks and datasets — duplicate shapes reuse their structure
     # results.  Run-local (not module state), so successive runs with
-    # different options can't interfere.  With a store, the run cache
-    # reads *and* queues writes through the parent handle directly.
-    run_cache: StructureCache
-    if store is not None:
-        from .structure_store import StoreBackedStructureCache
-
-        run_cache = StoreBackedStructureCache(options.cache_size, store)
-    else:
-        run_cache = StructureCache(options.cache_size)
+    # different options can't interfere.
+    run_cache = StructureCache(options.cache_size)
 
     def measure_local(payload):
         """Measure one chunk in-process, sharing the run-local cache."""
         name, chunk, chunk_dedup, chunk_options = payload
-        partial_study = measure_chunk(
+        return measure_chunk(
             name, chunk, dedup=chunk_dedup, options=chunk_options,
             cache=run_cache,
         )
-        return partial_study, run_cache.take_pending()
 
     merger = _TreeMerger(_merge_pair)
     for result in _execute(
         measure_local, _pool_measure_chunk, chunk_payloads(), workers, pool=pool
     ):
-        shard, rows = _receive(result, transport)
+        shard = _receive(result, transport)
         started = perf_counter()
         merger.push(shard)
         if transport is not None:
             transport.merge_seconds += perf_counter() - started
-        if store is not None:
-            store.put_many(rows)
     started = perf_counter()
     tail = merger.result()
     if tail is not None:

@@ -393,9 +393,6 @@ class PassProfile:
     queries: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Lookups served from the persistent structure store (a subset of
-    #: ``cache_misses``: the in-memory LRU missed, the disk layer hit).
-    store_hits: int = 0
     #: Chunk results that crossed the worker-pool boundary as
     #: serialized payloads (0 for in-process runs).
     chunks_shipped: int = 0
@@ -411,7 +408,6 @@ class PassProfile:
         self.queries += other.queries
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
-        self.store_hits += other.store_hits
         self.chunks_shipped += other.chunks_shipped
         self.shipped_bytes += other.shipped_bytes
         self.merge_seconds += other.merge_seconds

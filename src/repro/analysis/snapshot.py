@@ -69,7 +69,10 @@ __all__ = [
 #: Version 2 added the per-dataset ``streaks`` accumulator (Table 6).
 #: Version 3 switched streak chains to the lean representation
 #: (start/length/end/head_positions instead of full member-position
-#: lists), making open-chain state O(window) per chain.
+#: lists), making open-chain state O(window) per chain.  Dropping the
+#: pass profile's ``store_hits`` counter (3.0) needed no bump: readers
+#: that predate the key default it to 0, and :func:`profile_from_dict`
+#: ignores it in profiles written by 2.x.
 SCHEMA_VERSION = 3
 
 #: Versions :func:`study_from_dict` can read.  Version 1 predates the
@@ -371,7 +374,6 @@ def profile_to_dict(profile: PassProfile) -> Dict[str, Any]:
         "queries": profile.queries,
         "cache_hits": profile.cache_hits,
         "cache_misses": profile.cache_misses,
-        "store_hits": profile.store_hits,
         "chunks_shipped": profile.chunks_shipped,
         "shipped_bytes": profile.shipped_bytes,
         "merge_seconds": profile.merge_seconds,
@@ -388,11 +390,11 @@ def profile_from_dict(data: Any) -> PassProfile:
         for name, elapsed in seconds.items()
     ):
         raise StudySnapshotError("pass profile: 'seconds' must map pass names to numbers")
-    # Later-vintage counters (``store_hits`` with the persistent
-    # structure store, the transport trio with the parallel runtime):
-    # profiles snapshotted before each simply read 0.
+    # Later-vintage counters (the transport trio with the parallel
+    # runtime): profiles snapshotted before them simply read 0.  A
+    # ``store_hits`` key, written by 2.x, is ignored.
     optional_ints = {}
-    for key in ("store_hits", "chunks_shipped", "shipped_bytes"):
+    for key in ("chunks_shipped", "shipped_bytes"):
         value = data.get(key, 0)
         if not isinstance(value, int) or isinstance(value, bool):
             raise StudySnapshotError(f"pass profile: '{key}' must be an integer")

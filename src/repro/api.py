@@ -135,11 +135,6 @@ class AnalysisRequest:
     #: ``False`` forces full ingestion, ``True`` asserts lean and
     #: fails validation if a per-query pass is also selected.
     lean: Optional[bool] = None
-    #: Path of the persistent cross-run structure store (SQLite).
-    #: ``None`` (the default) keeps structural caching in-memory only.
-    #: Warm runs are byte-identical to cold runs; an unusable store
-    #: file degrades to a cold run with a warning, never an error.
-    structure_cache_path: Optional[PathLike] = None
 
     def lean_ingestion(self) -> bool:
         """Whether this request ingests leanly (see :attr:`lean`)."""
@@ -157,11 +152,6 @@ class AnalysisRequest:
             streak_window=self.streak_window,
             streak_threshold=self.streak_threshold,
             lean_ingestion=self.lean_ingestion(),
-            structure_cache_path=(
-                None
-                if self.structure_cache_path is None
-                else str(self.structure_cache_path)
-            ),
         )
 
     def validate(self) -> None:

@@ -21,8 +21,6 @@ Commands:
   suffix into a checkpointed study, and print a diff report per cycle
   (what changed in Tables 1–6); killing and restarting resumes from
   the last durable checkpoint.
-* ``cache stats|clear PATH`` — inspect or empty a persistent structure
-  cache written by ``analyze --structure-cache``.
 * ``warehouse ingest|query|stats`` — maintain and query a persistent
   study warehouse (a SQLite file study snapshots are upserted into);
   queries are answered from the warehouse without re-running analysis.
@@ -109,7 +107,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         streak_window=args.streak_window,
         streak_threshold=args.streak_threshold,
         lean=args.lean,
-        structure_cache_path=args.structure_cache,
     )
     try:
         with AnalysisSession() as session:
@@ -317,47 +314,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         print(f"watch: {error}", file=sys.stderr)
         return 2
     print(f"study checkpoint: {session.study_path}")
-    return 0
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect (`stats`) or empty (`clear`) a persistent structure cache."""
-    from .analysis.structure_store import StructureStore
-
-    path = Path(args.store)
-    if not path.exists():
-        print(f"cache: {args.store}: no such file", file=sys.stderr)
-        return 2
-    if args.action == "stats":
-        store = StructureStore.open(path, readonly=True)
-        if store is None:
-            print(f"cache: {args.store} is not a usable structure cache",
-                  file=sys.stderr)
-            return 2
-        stats = store.stats()
-        store.close()
-        print(f"store:           {stats['path']}")
-        print(f"store schema:    {stats['store_schema']}")
-        print(f"code version:    {stats['code_version']}")
-        print(f"entries:         {stats['entries']:,} "
-              f"({stats['size_bytes']:,} bytes on disk)")
-        print(f"  current:       {stats['current']:,} "
-              f"(graphs {stats['graph_entries']:,}, "
-              f"hypergraphs {stats['hypergraph_entries']:,})")
-        print(f"  stale:         {stats['stale']:,} "
-              "(other code versions; never served)")
-        return 0
-    # clear: a corrupt store can't be opened, but clearing one is
-    # exactly what its owner wants — remove the files wholesale.
-    store = StructureStore.open(path)
-    if store is None:
-        for extra in ("", "-wal", "-shm", ".meta.json"):
-            Path(str(path) + extra).unlink(missing_ok=True)
-        print(f"removed unusable cache {args.store}")
-        return 0
-    removed = store.clear()
-    store.close()
-    print(f"cleared {removed:,} entries from {args.store}")
     return 0
 
 
@@ -656,16 +612,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "cache is transparent, so results are identical either way)",
     )
     analyze.add_argument(
-        "--structure-cache",
-        default=None,
-        metavar="PATH",
-        help="persist structural results (shape/treewidth/hypertree per "
-        "signature) to a SQLite store at PATH, shared across runs: warm "
-        "runs serve repeated shapes from disk and are byte-identical to "
-        "cold ones.  Inspect with `repro cache stats`; an unusable file "
-        "degrades to a cold run with a warning",
-    )
-    analyze.add_argument(
         "--profile-passes",
         action="store_true",
         help="print per-pass wall time and structural-cache hit rate "
@@ -792,24 +738,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(created if missing; the warehouse then tracks the checkpoint)",
     )
     watch.set_defaults(func=_cmd_watch)
-
-    cache = commands.add_parser(
-        "cache",
-        help="inspect or clear a persistent structure cache "
-        "(see `analyze --structure-cache`)",
-    )
-    cache.add_argument(
-        "action",
-        choices=("stats", "clear"),
-        help="stats: entry counts by kind and code version; "
-        "clear: delete every entry (all code versions)",
-    )
-    cache.add_argument(
-        "store",
-        metavar="PATH",
-        help="a store file written by `repro analyze --structure-cache`",
-    )
-    cache.set_defaults(func=_cmd_cache)
 
     warehouse = commands.add_parser(
         "warehouse",

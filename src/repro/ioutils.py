@@ -1,7 +1,7 @@
 """Small filesystem helpers shared by everything that writes to disk.
 
 Every file this package persists — study snapshots (plain or gzip),
-the structure store's sidecar metadata — goes through
+watch checkpoints — goes through
 :func:`atomic_write_text` / :func:`atomic_write_bytes`: write to a
 same-directory temporary file, flush + fsync, then ``os.replace`` over
 the destination.  A crash or interrupt mid-write can therefore never

@@ -516,10 +516,6 @@ def render_pass_profile(profile: PassProfile) -> str:
         f"(hits {profile.cache_hits:,}, misses {profile.cache_misses:,}, "
         f"hit rate {100.0 * profile.cache_hit_rate:.1f}%)",
     ]
-    if profile.store_hits:
-        summary.append(
-            f"persistent store: served {profile.store_hits:,} of the misses"
-        )
     if profile.chunks_shipped:
         summary.append(
             f"shard transport: {profile.chunks_shipped:,} chunks, "

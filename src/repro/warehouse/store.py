@@ -1,8 +1,7 @@
 """The SQLite-backed study warehouse.
 
 Storage layout (one file, WAL journal, ``synchronous=NORMAL``,
-schema-versioned via ``PRAGMA user_version`` — the same pragma idiom
-as :mod:`repro.analysis.structure_store`):
+schema-versioned via ``PRAGMA user_version``):
 
 * ``meta`` — key/value header: the warehouse kind tag, the corpus
   flavour, the ingest generation counter, the FTS mode.
@@ -24,8 +23,7 @@ as :mod:`repro.analysis.structure_store`):
   carries (non-Ctract property-path samples, streak head/tail texts),
   full-text indexed for ``/search``.
 
-Unlike the structure store — an expendable cache that degrades to a
-cold run — the warehouse is *data*: every failure (corrupt file,
+The warehouse is *data*, not a cache: every failure (corrupt file,
 foreign or future schema, incompatible ingest) raises a typed
 :class:`~repro.exceptions.WarehouseError` naming the problem, and a
 failed ingest rolls back, leaving the previous state intact.

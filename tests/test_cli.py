@@ -264,6 +264,21 @@ class TestArgumentValidation:
             main(["analyze", "--workers", "two", str(query_file)])
         assert excinfo.value.code == 2
 
+    def test_analyze_cache_size_flag(self, tmp_path, capsys):
+        log = tmp_path / "q.rq"
+        log.write_text("ASK { ?s <urn:p> ?o }\n", encoding="utf-8")
+        assert main(["analyze", str(log)]) == 0
+        default = capsys.readouterr().out
+        assert main(["analyze", str(log), "--cache-size", "0"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_analyze_cache_size_rejects_negative(self, tmp_path, capsys):
+        log = tmp_path / "q.rq"
+        log.write_text("ASK { ?s <urn:p> ?o }\n", encoding="utf-8")
+        with pytest.raises(SystemExit):
+            main(["analyze", str(log), "--cache-size", "-1"])
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_rejects_colliding_dataset_names(self, tmp_path, capsys):
         # day.log and day.rq both map to dataset "day"; a corpora dict
         # would silently drop one file's entries from the report.

@@ -388,7 +388,7 @@ class TestTransportCounters:
     def test_profile_snapshot_round_trip(self):
         profile = PassProfile(
             seconds={"shallow": 0.5}, queries=10, cache_hits=3, cache_misses=7,
-            store_hits=2, chunks_shipped=4, shipped_bytes=4096, merge_seconds=0.25,
+            chunks_shipped=4, shipped_bytes=4096, merge_seconds=0.25,
         )
         rebuilt = PassProfile.from_dict(profile.to_dict())
         assert rebuilt == profile

@@ -90,6 +90,18 @@ class TestRoundTrip:
         assert reloaded.pass_profile.queries == study.pass_profile.queries
         assert reloaded.pass_profile.seconds == study.pass_profile.seconds
 
+    def test_profile_store_hits_from_2x_loads_and_is_dropped(self):
+        # 2.x profiles carry the retired persistent-store counter.
+        from repro.analysis.context import AnalysisOptions
+
+        data = build_study(
+            {"alpha": QUERY_POOL}, options=AnalysisOptions(profile=True)
+        ).to_dict()
+        data["pass_profile"]["store_hits"] = 7
+        reloaded = CorpusStudy.from_dict(data)
+        assert reloaded.pass_profile is not None
+        assert "store_hits" not in reloaded.to_dict()["pass_profile"]
+
     def test_zero_counts_survive(self):
         study = CorpusStudy()
         study.girth_hist[3] = 0  # explicitly-recorded zero bucket
