@@ -11,6 +11,14 @@ byte-identity verdict between the checkpointed study and the one-shot
 study (invariant 12).  The CI bench-smoke job uploads the file and
 asserts the speedup floor, so a watch cycle that silently degrades to
 re-analysing the whole log fails the build.
+
+A second leg runs the same cycles on *one* held session with a
+warehouse, the way ``repro watch --warehouse`` runs, and records under
+``watch_held`` how often the warehouse decoded its stored study after
+the first cycle (the held handle keeps what it merged, so: never) and
+whether the held handle renders exactly like a fresh read-only handle
+(invariant 11).  CI asserts both; they are counts and identities, so
+they hold on any runner.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from pathlib import Path
 
 from _bench_utils import banner
 from repro.api import WatchSession, analyze_corpora, load_study
+from repro.warehouse import StudyWarehouse, store
 from repro.workload import generate_day_log
 
 ENTRIES = int(os.environ.get("REPRO_BENCH_WATCH_ENTRIES", "2400"))
@@ -38,6 +47,17 @@ def _append(path: Path, texts) -> None:
 
 def _study_bytes(study) -> str:
     return json.dumps(study.to_dict(), sort_keys=True)
+
+
+def _record(payload: dict) -> None:
+    """Merge *payload* key-wise into ``BENCH_watch.json``, the same
+    contract as the other bench artifacts."""
+    out_path = Path(os.environ.get("REPRO_BENCH_WATCH_JSON", "BENCH_watch.json"))
+    if out_path.exists():
+        merged = json.loads(out_path.read_text(encoding="utf-8"))
+        merged.update(payload)
+        payload = merged
+    out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def test_watch_artifact(tmp_path):
@@ -84,13 +104,7 @@ def test_watch_artifact(tmp_path):
             "identical_study": identical,
         }
     }
-    out_path = Path(os.environ.get("REPRO_BENCH_WATCH_JSON", "BENCH_watch.json"))
-    # Merge key-wise, same contract as the other bench artifacts.
-    if out_path.exists():
-        merged = json.loads(out_path.read_text(encoding="utf-8"))
-        merged.update(payload)
-        payload = merged
-    out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _record(payload)
 
     banner("Watch mode: incremental cycle vs full re-analysis")
     print(
@@ -105,3 +119,60 @@ def test_watch_artifact(tmp_path):
         f"incremental cycle only {speedup:.1f}x faster than re-analysis "
         f"(floor {SPEEDUP_FLOOR}x)"
     )
+
+
+def test_watch_held_session_artifact(tmp_path, monkeypatch):
+    texts = generate_day_log(n_queries=ENTRIES, seed=7)
+    base = len(texts) - CYCLES * SLICE
+    log = tmp_path / "day.log"
+    warehouse = tmp_path / "warehouse.sqlite"
+    decodes = []
+    decode = store._decode_study
+
+    def counted_decode(*args):
+        decodes.append(args[0])
+        return decode(*args)
+
+    monkeypatch.setattr(store, "_decode_study", counted_decode)
+    _append(log, texts[:base])
+    cycle_seconds = []
+    with WatchSession(
+        [str(log)], tmp_path / "watch-state", warehouse_path=warehouse
+    ) as session:
+        session.cycle()
+        decodes.clear()
+        for index in range(CYCLES):
+            start_entry = base + index * SLICE
+            _append(log, texts[start_entry : start_entry + SLICE])
+            start = time.perf_counter()
+            outcome = session.cycle(drain=index == CYCLES - 1)
+            cycle_seconds.append(time.perf_counter() - start)
+            assert outcome.total_new == SLICE
+        stored_study_decodes = len(decodes)
+        held = session._warehouse.render()
+    with StudyWarehouse.open(warehouse, readonly=True) as fresh:
+        identical = held == fresh.render()
+    mean_cycle = sum(cycle_seconds) / len(cycle_seconds)
+
+    _record(
+        {
+            "watch_held": {
+                "entries": len(texts),
+                "cycles": CYCLES,
+                "entries_per_cycle": SLICE,
+                "mean_cycle_seconds": round(mean_cycle, 6),
+                "stored_study_decodes": stored_study_decodes,
+                "warehouse_identical": identical,
+            }
+        }
+    )
+
+    banner("Watch mode: one held session with a warehouse")
+    print(
+        f"  cycle: {SLICE} entries in {mean_cycle:8.4f}s mean; "
+        f"stored-study decodes after the first cycle: {stored_study_decodes}; "
+        f"held render == fresh render: {identical}"
+    )
+
+    assert stored_study_decodes == 0, "the held handle decoded its study again"
+    assert identical, "held-handle render must equal a fresh read-only render"

@@ -42,6 +42,17 @@ the sharded drivers use — so datasets growing in interleaved cycles
 still report with exactly the one-shot counter order (one-shot runs
 fold each dataset to completion before the next).
 
+A session does each fold once, following the semi-naïve rule (derive
+only from the new facts).  It stitches the combined study, and
+flattens it to the long rows the cycle diff compares, once per change
+of its per-dataset studies: idle cycles stitch nothing, and each
+cycle's diff takes the previous cycle's rows as its "before" side.
+With a warehouse, the session opens one writable handle at its first
+ingest and holds it until :meth:`WatchSession.close`; the handle keeps
+the study it merged, so steady cycles never decode the stored study
+again.  A :class:`~repro.exceptions.WarehouseError` drops the handle,
+and the next cycle reopens and re-checks the file.
+
 Durability: cursors, seen-digests, and the per-dataset study snapshots
 are one JSON *checkpoint* document written with a single atomic
 replace — a crashed or SIGKILLed cycle leaves either the previous
@@ -66,6 +77,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     BinaryIO,
     Dict,
@@ -77,7 +89,7 @@ from typing import (
     Union,
 )
 
-from ..exceptions import StudySnapshotError, WatchStateError
+from ..exceptions import StudySnapshotError, WarehouseError, WatchStateError
 from ..ioutils import atomic_write_text
 from ..logs.pipeline import ParsedQuery, QueryLog
 from ..logs.sources import (
@@ -93,6 +105,9 @@ from .parallel import build_query_logs_parallel, measure_chunk
 from .passes import resolve_passes, sequence_only_selection
 from .snapshot import save_study, study_from_dict, study_to_dict
 from .study import CorpusStudy, _claim_streaks
+
+if TYPE_CHECKING:
+    from ..warehouse import StudyWarehouse
 
 __all__ = [
     "CHECKPOINT_KIND",
@@ -118,6 +133,21 @@ _READ_CHUNK = 1 << 20
 
 def _text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _stitch(
+    studies: Mapping[str, CorpusStudy], names: Sequence[str]
+) -> Tuple[CorpusStudy, List[Tuple[str, str, str, str]]]:
+    """The combined study of *studies*, merged in *names* order, and
+    its long rows (the cells the cycle diff compares)."""
+    # Reporting imports lazily: analysis must stay importable without
+    # the reporting layer (and vice versa).
+    from ..reporting.reporters import study_long_rows
+
+    combined = CorpusStudy(dedup=True)
+    for name in names:
+        combined.merge(studies[name])
+    return combined, study_long_rows(combined)
 
 
 def _open_logical(path: Path) -> BinaryIO:
@@ -293,6 +323,10 @@ class WatchSession:
     with different options raises
     :class:`~repro.exceptions.WatchStateError` rather than mixing
     incompatible measurements into one study.
+
+    With a ``warehouse_path`` the session holds one writable warehouse
+    handle from its first ingest on; :meth:`close` (or leaving a
+    ``with`` block) releases it, and a later :meth:`cycle` reopens it.
     """
 
     def __init__(
@@ -354,6 +388,12 @@ class WatchSession:
         self._studies: Dict[str, CorpusStudy] = {}
         self._cursors: Dict[str, _SourceCursor] = {}
         self._seen: Dict[str, set] = {}
+        #: (combined study, its long rows) of the current ``_studies``;
+        #: ``None`` once they change.
+        self._stitched: Optional[
+            Tuple[CorpusStudy, List[Tuple[str, str, str, str]]]
+        ] = None
+        self._warehouse: Optional["StudyWarehouse"] = None  # opened lazily
         if self.checkpoint_path.exists():
             self._load_checkpoint()
 
@@ -364,13 +404,36 @@ class WatchSession:
         Derived by stitching the per-dataset studies in input order —
         exactly how a one-shot run over the full sources would fold
         them, so counter key order (and hence snapshot bytes) match.
+        The stitch is memoized until the next cycle that changes the
+        study, so treat the returned object as read-only.
         """
         if not self._studies:
             return None
-        combined = CorpusStudy(dedup=True)
-        for name, _ in self._datasets:
-            combined.merge(self._studies[name])
-        return combined
+        return self._combined()[0]
+
+    def _combined(self) -> Tuple[CorpusStudy, List[Tuple[str, str, str, str]]]:
+        if self._stitched is None:
+            self._stitched = _stitch(
+                self._studies, [name for name, _ in self._datasets]
+            )
+        return self._stitched
+
+    # -- lifecycle ----------------------------------------------------
+
+    def close(self) -> None:
+        """Release the held warehouse handle (idempotent).
+
+        The session stays usable: the next cycle that ingests reopens
+        the warehouse."""
+        warehouse, self._warehouse = self._warehouse, None
+        if warehouse is not None:
+            warehouse.close()
+
+    def __enter__(self) -> "WatchSession":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- configuration identity -------------------------------------
 
@@ -494,11 +557,10 @@ class WatchSession:
         """
         # Reporting imports lazily: analysis must stay importable
         # without the reporting layer (and vice versa).
-        from ..reporting.reporters import render_rows_diff, study_long_rows
+        from ..reporting.reporters import render_rows_diff
 
-        previous = self.study
-        previous_rows = [] if previous is None else study_long_rows(previous)
         first = not self._studies
+        previous_rows = [] if first else self._combined()[1]
         new_texts: Dict[str, List[str]] = {}
         for name, spec in self._datasets:
             texts: List[str] = []
@@ -527,6 +589,7 @@ class WatchSession:
                 workers=1,
                 options=self.options,
             )
+            self._stitched = None  # the per-dataset studies change below
             for name in corpora:
                 delta = self._measure_delta(name, logs[name])
                 deltas[name] = delta
@@ -537,28 +600,39 @@ class WatchSession:
         self.generation += 1
         self._write_checkpoint()
         if deltas and self.warehouse_path is not None:
-            # The warehouse accumulates by merging, so it gets the
-            # cycle's *delta* (cumulative checkpoints would
-            # double-count); its merged study then tracks the
-            # checkpoint study.
-            from ..warehouse import StudyWarehouse
-
-            cycle_delta = CorpusStudy(dedup=True)
-            for name, _ in self._datasets:
-                if name in deltas:
-                    cycle_delta.merge(deltas[name])
-            with StudyWarehouse.open(self.warehouse_path) as warehouse:
-                warehouse.ingest(
-                    cycle_delta,
-                    source=f"watch:{self.state_dir}@{self.generation}",
-                )
-        diff = render_rows_diff(previous_rows, study_long_rows(self.study))
+            self._ingest(deltas)
+        diff = render_rows_diff(previous_rows, self._combined()[1])
         return WatchCycle(
             generation=self.generation,
             new_entries=counts,
             changed=changed,
             diff=diff,
         )
+
+    def _ingest(self, deltas: Mapping[str, CorpusStudy]) -> None:
+        """Merge the cycle's deltas into the warehouse, on the held handle.
+
+        The warehouse accumulates by merging, so it gets the cycle's
+        *delta* (cumulative checkpoints would double-count); its merged
+        study then tracks the checkpoint study.
+        """
+        from ..warehouse import StudyWarehouse
+
+        cycle_delta = CorpusStudy(dedup=True)
+        for name, _ in self._datasets:
+            if name in deltas:
+                cycle_delta.merge(deltas[name])
+        try:
+            if self._warehouse is None:
+                self._warehouse = StudyWarehouse.open(self.warehouse_path)
+            self._warehouse.ingest(
+                cycle_delta,
+                source=f"watch:{self.state_dir}@{self.generation}",
+            )
+        except WarehouseError:
+            # The next cycle reopens the file and checks it again.
+            self.close()
+            raise
 
     def _measure_delta(self, name: str, log: QueryLog) -> CorpusStudy:
         """Measure one dataset's cycle slice as a mergeable partial study.

@@ -310,9 +310,13 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 time.sleep(args.interval)
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass
-    except (ValueError, WatchStateError, StudySnapshotError, OSError) as error:
+    except (
+        ValueError, WatchStateError, StudySnapshotError, WarehouseError, OSError
+    ) as error:
         print(f"watch: {error}", file=sys.stderr)
         return 2
+    finally:
+        session.close()
     print(f"study checkpoint: {session.study_path}")
     return 0
 

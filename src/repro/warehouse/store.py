@@ -9,9 +9,14 @@ schema-versioned via ``PRAGMA user_version``):
   digest ever merged.  Re-ingesting a byte-equivalent snapshot hits
   the digest and is a no-op, which is what makes ``ingest`` idempotent.
 * ``study`` — the merged study's versioned snapshot document (the
-  same codec ``save_study`` writes), the warehouse's source of truth:
+  same codec ``save_study`` writes, stored as compact JSON; older
+  indented bodies load the same), the warehouse's source of truth:
   reports render from it through the reporter registry, byte-identical
-  to ``repro report`` over the equivalently merged snapshot.
+  to ``repro report`` over the equivalently merged snapshot.  A handle
+  caches the decoded study per ingest generation, and its own ingests
+  leave their merged study as that cache, so a long-lived writer (a
+  ``repro watch`` session) never decodes the document again unless
+  another handle wrote in between.
 * ``datasets`` / ``cells`` / ``streaks`` / ``caveats`` — indexed
   derived tables, rebuilt transactionally at each ingest: per-dataset
   pipeline counters, every measurement cell of the paper's tables in
@@ -26,7 +31,8 @@ schema-versioned via ``PRAGMA user_version``):
 The warehouse is *data*, not a cache: every failure (corrupt file,
 foreign or future schema, incompatible ingest) raises a typed
 :class:`~repro.exceptions.WarehouseError` naming the problem, and a
-failed ingest rolls back, leaving the previous state intact.
+failed ingest rolls back, leaving the previous state intact (the
+handle's cached study included).
 """
 
 from __future__ import annotations
@@ -190,6 +196,28 @@ def _texts_of(study: CorpusStudy) -> List[Tuple[str, str, str]]:
         for chain in stats.streaks.chains:
             rows.append((name, "streak_tail", chain.tail))
     return rows
+
+
+#: The ``datasets`` columns a dataset row is served from, and the keys
+#: it is served under (same order).
+_DATASET_COLUMNS = (
+    "name, total, valid, unique_queries, analyzed,"
+    " select_ask, triple_sum, streak_count, longest_streak"
+)
+_DATASET_KEYS = (
+    "name", "total", "valid", "unique", "analyzed",
+    "select_ask", "triple_sum", "streak_count", "longest_streak",
+)
+
+
+def _decode_study(path: str, body: str) -> CorpusStudy:
+    """Decode the stored study document of the warehouse at *path*."""
+    try:
+        return study_from_dict(json.loads(body))
+    except (StudySnapshotError, json.JSONDecodeError) as error:
+        raise WarehouseError(
+            f"{path}: stored study document is unreadable ({error})"
+        ) from error
 
 
 class StudyWarehouse:
@@ -369,6 +397,10 @@ class StudyWarehouse:
         # Merge a *copy* (dict round trip): CorpusStudy.merge mutates
         # the left side, and the caller keeps ownership of `study`.
         incoming_study = study_from_dict(incoming)
+        # The merge below mutates the cached study in place, so the
+        # cache is dropped until the commit: a failed merge or write
+        # must not leave a half-merged study behind it.
+        self._study_cache = None
         if current is None:
             merged = incoming_study
         else:
@@ -378,7 +410,7 @@ class StudyWarehouse:
                 raise WarehouseError(
                     f"cannot ingest {source}: {error}"
                 ) from error
-        body = json.dumps(study_to_dict(merged), indent=2)
+        body = json.dumps(study_to_dict(merged), separators=(",", ":"))
         try:
             with self._connection:
                 self._connection.execute(
@@ -395,13 +427,16 @@ class StudyWarehouse:
                     "INSERT OR REPLACE INTO study (id, body) VALUES (1, ?)", (body,)
                 )
                 self._rebuild_derived(merged)
+                generation = self.generation + 1
                 self._connection.execute(
                     "UPDATE meta SET value = ? WHERE key = 'generation'",
-                    (str(self.generation + 1),),
+                    (str(generation),),
                 )
         except sqlite3.Error as error:
             raise self._guard(error) from error
-        self._study_cache = None
+        # The merged study is exactly what the stored body decodes to, so
+        # it becomes the cache of the new generation.
+        self._study_cache = (generation, merged)
         return "merged"
 
     def _rebuild_derived(self, study: CorpusStudy) -> None:
@@ -465,7 +500,10 @@ class StudyWarehouse:
         """The merged study, or ``None`` for an empty warehouse.
 
         Parsed from the stored snapshot document and cached per ingest
-        generation, so repeated renders don't re-decode."""
+        generation, so repeated renders don't re-decode; a writable
+        handle caches the study each of its own ingests merged, so it
+        never decodes the document again while no other handle
+        writes."""
         generation = self.generation
         if self._study_cache is not None and self._study_cache[0] == generation:
             return self._study_cache[1]
@@ -477,12 +515,7 @@ class StudyWarehouse:
             raise self._guard(error) from error
         if row is None:
             return None
-        try:
-            study = study_from_dict(json.loads(row[0]))
-        except (StudySnapshotError, json.JSONDecodeError) as error:
-            raise WarehouseError(
-                f"{self.path}: stored study document is unreadable ({error})"
-            ) from error
+        study = _decode_study(self.path, row[0])
         self._study_cache = (generation, study)
         return study
 
@@ -527,46 +560,24 @@ class StudyWarehouse:
                 "SELECT COUNT(*) FROM datasets"
             ).fetchone()[0]
             rows = self._connection.execute(
-                "SELECT name, total, valid, unique_queries, analyzed,"
-                " select_ask, triple_sum, streak_count, longest_streak"
-                " FROM datasets ORDER BY rowid LIMIT ? OFFSET ?",
+                f"SELECT {_DATASET_COLUMNS} FROM datasets"
+                " ORDER BY rowid LIMIT ? OFFSET ?",
                 (limit, offset),
             ).fetchall()
         except sqlite3.Error as error:
             raise self._guard(error) from error
-        items = [
-            {
-                "name": name,
-                "total": total_q,
-                "valid": valid,
-                "unique": unique,
-                "analyzed": analyzed,
-                "select_ask": select_ask,
-                "triple_sum": triple_sum,
-                "streak_count": streak_count,
-                "longest_streak": longest_streak,
-            }
-            for (
-                name,
-                total_q,
-                valid,
-                unique,
-                analyzed,
-                select_ask,
-                triple_sum,
-                streak_count,
-                longest_streak,
-            ) in rows
-        ]
-        return total, items
+        return total, [dict(zip(_DATASET_KEYS, row)) for row in rows]
 
     def dataset(self, name: str) -> Optional[Dict[str, Any]]:
         """One dataset's row, or ``None`` when unknown."""
-        _, items = self.datasets(limit=1_000_000, offset=0)
-        for item in items:
-            if item["name"] == name:
-                return item
-        return None
+        try:
+            row = self._connection.execute(
+                f"SELECT {_DATASET_COLUMNS} FROM datasets WHERE name = ?",
+                (name,),
+            ).fetchone()
+        except sqlite3.Error as error:
+            raise self._guard(error) from error
+        return None if row is None else dict(zip(_DATASET_KEYS, row))
 
     def table_cells(
         self,

@@ -133,6 +133,25 @@ class TestIngest:
             assert handle.render("text") == before
             assert handle.generation == 1
 
+    def test_rejected_merge_leaves_cached_study_intact(self, tmp_path):
+        """A merge that raises part-way (the streak windows differ after
+        the counters were added) must not leave the handle's cached
+        study half-merged."""
+        path = tmp_path / "w.db"
+        window30 = build_study({"alpha": QUERY_POOL})
+        window3 = analyze_corpora(
+            {"alpha": QUERY_POOL[:5]}, metrics=ALL_METRICS, streak_window=3
+        ).study
+        with StudyWarehouse.open(path) as handle:
+            handle.ingest(window30, source="w30.json")
+            before = handle.render("text")
+            with pytest.raises(WarehouseError, match="w3.json"):
+                handle.ingest(window3, source="w3.json")
+            assert handle.render("text") == before
+            assert handle.generation == 1
+            with StudyWarehouse.open(path, readonly=True) as fresh:
+                assert fresh.render("text") == before
+
     def test_readonly_handle_rejects_ingest(self, tmp_path, shard_studies):
         path = tmp_path / "w.db"
         with StudyWarehouse.open(path) as handle:

@@ -19,6 +19,9 @@ layers here:
   chains (snapshot schema 2) decode to the identical accumulator;
 * memory: open-chain state stays O(window) per chain on a 50k-entry
   single-streak stream (the unbounded-growth regression);
+* warm session: the held warehouse handle renders like a fresh one
+  and sees other writers' ingests; steady cycles decode the stored
+  study zero times and stitch once per change (zero when idle);
 * the ``diff`` reporter's format is golden-pinned.
 """
 
@@ -755,6 +758,137 @@ class TestWarehouseIntegration:
         ]
 
 
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call is counted; returns the tally."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestWarmSession:
+    """One session holds one warehouse handle and stitches once per
+    change of its studies; neither may change a byte."""
+
+    CUTS = (9, 14, 20, 27, 33, 40)
+
+    def session(self, tmp_path):
+        return WatchSession(
+            [str(tmp_path / "day.rq")],
+            tmp_path / "state",
+            metrics=METRICS,
+            streak_window=WINDOW,
+            warehouse_path=tmp_path / "w.db",
+        )
+
+    def grow(self, tmp_path, start, stop):
+        write_lines(tmp_path / "day.rq", STREAM[start:stop])
+
+    def test_held_handle_renders_like_fresh_handle(self, tmp_path):
+        from repro.warehouse import StudyWarehouse
+
+        bounds = (0,) + self.CUTS + (len(STREAM),)
+        with self.session(tmp_path) as session:
+            for start, stop in zip(bounds, bounds[1:]):
+                self.grow(tmp_path, start, stop)
+                session.cycle(drain=stop == len(STREAM))
+                held = session._warehouse
+                with StudyWarehouse.open(
+                    tmp_path / "w.db", readonly=True
+                ) as fresh:
+                    assert held.render("text") == fresh.render("text")
+                    assert held.render("json") == fresh.render("json")
+                    assert held.generation == fresh.generation
+        assert session._warehouse is None
+        assert study_bytes(session.study) == study_bytes(one_shot(STREAM))
+
+    def test_ingest_by_second_handle_is_picked_up(self, tmp_path):
+        from repro.warehouse import StudyWarehouse
+
+        other = analyze_corpora(
+            {"other": POOL[:6]}, metrics=METRICS, streak_window=WINDOW
+        ).study
+        with self.session(tmp_path) as session:
+            self.grow(tmp_path, 0, 20)
+            session.cycle()
+            with StudyWarehouse.open(tmp_path / "w.db") as second:
+                second.ingest(other, source="other.json")
+            self.grow(tmp_path, 20, len(STREAM))
+            session.cycle(drain=True)
+            held = session._warehouse
+            assert held.generation == 3
+            assert list(held.study().datasets) == ["day", "other"]
+            with StudyWarehouse.open(tmp_path / "w.db", readonly=True) as fresh:
+                assert held.render("text") == fresh.render("text")
+
+    def test_steady_cycles_decode_nothing_and_stitch_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.analysis import incremental
+        from repro.warehouse import store
+
+        decodes = counting(monkeypatch, store, "_decode_study")
+        stitches = counting(monkeypatch, incremental, "_stitch")
+        with self.session(tmp_path) as session:
+            self.grow(tmp_path, 0, self.CUTS[0])
+            session.cycle()
+            decodes.clear()
+            for start, stop in zip(self.CUTS, self.CUTS[1:]):
+                stitches.clear()
+                self.grow(tmp_path, start, stop)
+                assert session.cycle().changed
+                assert len(stitches) == 1
+                stitches.clear()
+                assert not session.cycle().changed
+                assert stitches == []
+            assert decodes == []
+
+    def test_close_is_idempotent_and_cycle_reopens(self, tmp_path):
+        session = self.session(tmp_path)
+        session.close()  # nothing held yet
+        self.grow(tmp_path, 0, 10)
+        session.cycle()
+        first = session._warehouse
+        assert first is not None
+        session.close()
+        session.close()
+        assert session._warehouse is None
+        self.grow(tmp_path, 10, len(STREAM))
+        session.cycle(drain=True)
+        assert session._warehouse is not None
+        assert session._warehouse is not first
+        assert session._warehouse.generation == 2
+        session.close()
+
+    def test_warehouse_error_drops_the_handle(self, tmp_path):
+        import sqlite3
+
+        from repro.exceptions import WarehouseError
+
+        with self.session(tmp_path) as session:
+            self.grow(tmp_path, 0, 10)
+            session.cycle()
+            assert session._warehouse is not None
+            # Another writer leaves a newer generation the held handle
+            # cannot decode.
+            connection = sqlite3.connect(tmp_path / "w.db")
+            with connection:
+                connection.execute("UPDATE study SET body = '{'")
+                connection.execute(
+                    "UPDATE meta SET value = '9' WHERE key = 'generation'"
+                )
+            connection.close()
+            self.grow(tmp_path, 10, 20)
+            with pytest.raises(WarehouseError, match="unreadable"):
+                session.cycle()
+            assert session._warehouse is None
+
+
 class TestWatchCli:
     def test_watch_then_idle_then_resume(self, tmp_path, capsys):
         source, state = tmp_path / "day.rq", tmp_path / "state"
@@ -779,6 +913,23 @@ class TestWatchCli:
         assert study_bytes(load_study(state / "study.json")) == study_bytes(
             one_shot(STREAM)
         )
+
+    def test_watch_closes_the_session(self, tmp_path, capsys, monkeypatch):
+        """The verb releases the warehouse handle on success and on a
+        failed cycle alike."""
+        closed = counting(monkeypatch, WatchSession, "close")
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        write_lines(source, STREAM[:5])
+        base = [
+            "watch", str(source), "--state", str(state), "--interval", "0",
+            "--warehouse", str(tmp_path / "w.db"),
+        ]
+        assert main(base + ["--no-drain"]) == 0
+        assert len(closed) == 1
+        source.write_text("tiny\n", encoding="utf-8")
+        assert main(base) == 2
+        assert len(closed) == 2
+        capsys.readouterr()
 
     def test_watch_rejects_config_change(self, tmp_path, capsys):
         source, state = tmp_path / "day.rq", tmp_path / "state"
