@@ -12,6 +12,8 @@ identical decisions:
   pre-prefilter kernel kept as the correctness oracle;
 * **DP-decision memo on/off** — a streak scan with and without the
   scan state's memo of recent DP decisions;
+* **stitch memo** — the per-stitch memo of a chunked scan's merges,
+  counted (the DP runs it saves are its hits, so it has no off switch);
 * **budget cutoff** — the Myers DP stopping once the final diagonal
   exceeds the budget vs running to the last column;
 * **lean ingestion on/off** — a sequence-only ``streaks`` study with
@@ -43,6 +45,9 @@ from repro.workload import generate_day_log
 #: Lookbehind used to build realistic comparison pairs: each query
 #: against its predecessors, like the streak scan itself.
 WINDOW = 30
+
+#: Chunks the stitch-memo row cuts its scan into.
+STITCH_CHUNKS = 16
 
 
 def _speedup(baseline: float, optimized: float) -> float:
@@ -199,6 +204,47 @@ def test_ablation_dp_memo():
             "off_seconds": round(off_elapsed, 6),
             "on_seconds": round(on_elapsed, 6),
             "speedup": round(_speedup(off_elapsed, on_elapsed), 2),
+        }
+    )
+
+
+def test_ablation_stitch_memo():
+    """Stitching a chunked scan: same state as serial, and the per-stitch
+    memo answers the pairs that chains sharing a tail ask again."""
+    log = generate_day_log(1600, session_rate=0.3, seed=6)
+    chunk_size = len(log) // STITCH_CHUNKS
+    chunks = []
+    for start in range(0, len(log), chunk_size):
+        accumulator = StreakAccumulator()
+        for text in log[start:start + chunk_size]:
+            accumulator.push(text)
+        chunks.append(accumulator)
+    SIMILARITY_COUNTERS.reset()
+    stitched = chunks[0]
+    for chunk in chunks[1:]:
+        stitched.merge(chunk)
+    counters = SIMILARITY_COUNTERS.to_dict()
+    serial = StreakAccumulator()
+    for text in log:
+        serial.push(text)
+
+    banner("Ablation: per-stitch DP memo")
+    print(
+        f"{len(chunks)} chunks: {counters['dp_runs']} DP runs, "
+        f"{counters['memo_hits']} memo hits "
+        f"({counters['dp_runs'] + counters['memo_hits']} DP runs without the memo)"
+    )
+
+    identical = stitched == serial and stitched.to_dict() == serial.to_dict()
+    assert identical
+    assert counters["memo_hits"] > 0
+    record_ablation(
+        {
+            "name": "stitch_memo",
+            "chunks": len(chunks),
+            "identical_decisions": identical,
+            "dp_runs": counters["dp_runs"],
+            "memo_hits": counters["memo_hits"],
         }
     )
 

@@ -47,6 +47,11 @@ only from the new facts).  It stitches the combined study, and
 flattens it to the long rows the cycle diff compares, once per change
 of its per-dataset studies: idle cycles stitch nothing, and each
 cycle's diff takes the previous cycle's rows as its "before" side.
+The checkpoint is assembled from per-dataset fragments: each
+dataset's encoded seen-digest list and study are memoized until a
+cycle changes that dataset's study (a loaded checkpoint starts with
+none), so a cycle re-encodes only the datasets it grew, and the
+assembled document is byte for byte the compact encoding of the whole.
 With a warehouse, the session opens one writable handle at its first
 ingest and holds it until :meth:`WatchSession.close`; the handle keeps
 the study it merged, so steady cycles never decode the stored study
@@ -133,6 +138,11 @@ _READ_CHUNK = 1 << 20
 
 def _text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _compact(value: Any) -> str:
+    """*value* as compact JSON, the checkpoint's encoding."""
+    return json.dumps(value, separators=(",", ":"))
 
 
 def _stitch(
@@ -393,6 +403,10 @@ class WatchSession:
         self._stitched: Optional[
             Tuple[CorpusStudy, List[Tuple[str, str, str, str]]]
         ] = None
+        #: Dataset name -> its encoded (sorted seen digests, study), as
+        #: the checkpoint spells them; an entry is dropped when a cycle
+        #: changes that dataset's study.
+        self._fragments: Dict[str, Tuple[str, str]] = {}
         self._warehouse: Optional["StudyWarehouse"] = None  # opened lazily
         if self.checkpoint_path.exists():
             self._load_checkpoint()
@@ -515,29 +529,47 @@ class WatchSession:
             self._cursors[cursor.path] = cursor
         self._seen = {name: set(digests) for name, digests in seen.items()}
         self._studies = loaded
+        self._fragments = {}
+
+    def _fragment(self, name: str) -> Tuple[str, str]:
+        """Dataset *name*'s encoded seen digests and study, memoized."""
+        fragment = self._fragments.get(name)
+        if fragment is None:
+            fragment = self._fragments[name] = (
+                _compact(sorted(self._seen.get(name, ()))),
+                _compact(study_to_dict(self._studies[name])),
+            )
+        return fragment
 
     def _write_checkpoint(self) -> None:
-        document = {
-            "kind": CHECKPOINT_KIND,
-            "schema": CHECKPOINT_SCHEMA_VERSION,
-            "generation": self.generation,
-            "inputs": list(self.inputs),
-            "config": self._config_dict(),
-            "cursors": [cursor.to_dict() for cursor in self._cursors.values()],
-            "seen": {
-                name: sorted(digests) for name, digests in self._seen.items()
-            },
-            "studies": {
-                name: study_to_dict(self._studies[name])
-                for name, _ in self._datasets
-            },
-        }
+        # The compact encoding of the whole document, assembled from
+        # the small head and the per-dataset fragments: only datasets
+        # the cycle grew are encoded again.
+        head = _compact(
+            {
+                "kind": CHECKPOINT_KIND,
+                "schema": CHECKPOINT_SCHEMA_VERSION,
+                "generation": self.generation,
+                "inputs": list(self.inputs),
+                "config": self._config_dict(),
+                "cursors": [
+                    cursor.to_dict() for cursor in self._cursors.values()
+                ],
+            }
+        )
+        seen = ",".join(
+            f"{_compact(name)}:{self._fragment(name)[0]}" for name in self._seen
+        )
+        studies = ",".join(
+            f"{_compact(name)}:{self._fragment(name)[1]}"
+            for name, _ in self._datasets
+        )
         self.state_dir.mkdir(parents=True, exist_ok=True)
         # One atomic replace carries cursors AND studies: a kill leaves
         # the previous checkpoint or this one, never a torn pair.
         atomic_write_text(
             self.checkpoint_path,
-            json.dumps(document, separators=(",", ":")) + "\n",
+            f'{head[:-1]},"seen":{{{seen}}},"studies":{{{studies}}}}}\n',
         )
         # Derived convenience snapshot (repro report / merge load it);
         # resume never reads it, so a kill between the two writes
@@ -591,6 +623,7 @@ class WatchSession:
             )
             self._stitched = None  # the per-dataset studies change below
             for name in corpora:
+                self._fragments.pop(name, None)
                 delta = self._measure_delta(name, logs[name])
                 deltas[name] = delta
                 if name in self._studies:

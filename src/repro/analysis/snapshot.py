@@ -583,7 +583,13 @@ _GZIP_MAGIC = b"\x1f\x8b"
 
 
 def save_study(study: CorpusStudy, path: Union[str, Path]) -> None:
-    """Write *study* to *path* as a pretty-printed JSON snapshot.
+    """Write *study* to *path* as a compact JSON snapshot.
+
+    Compact separators keep the encode in the json module's C encoder
+    (``indent`` forces the pure-Python one) and the file about a
+    quarter smaller.  :func:`load_study` reads compact and indented
+    snapshots alike, and ``repro report FILE --format json`` prints
+    the indented view.
 
     A path ending in ``.gz`` (e.g. ``study.json.gz``) is written
     gzip-compressed, with a zeroed timestamp so equal studies produce
@@ -592,7 +598,9 @@ def save_study(study: CorpusStudy, path: Union[str, Path]) -> None:
     snapshot intact rather than a truncated file that
     :func:`load_study` would reject.
     """
-    payload = (json.dumps(study_to_dict(study), indent=2) + "\n").encode("utf-8")
+    payload = (
+        json.dumps(study_to_dict(study), separators=(",", ":")) + "\n"
+    ).encode("utf-8")
     if Path(path).suffix == ".gz":
         payload = gzip.compress(payload, mtime=0)
     atomic_write_bytes(path, payload)

@@ -30,7 +30,9 @@ in ``tests/test_streak_prefilters.py``):
    similar without any DP;
 5. **decision memo** — each scan state remembers its recent DP
    decisions by text pair, so a (chain tail, query) pair that a
-   bot-repeated stream brings back is not decided twice;
+   bot-repeated stream brings back is not decided twice, and each
+   stitch of two accumulators keeps its own, so chains that share a
+   tail decide each head text once;
 6. **budgeted bit-parallel DP** — Myers' algorithm on the trimmed
    remainders, which stops as soon as a cell on the final diagonal
    exceeds the edit budget.  (The banded DP it replaced survives only
@@ -232,7 +234,7 @@ class SimilarityCounters:
     bag_rejects: int = 0  #: settled by the bag-of-chars bound
     trim_accepts: int = 0  #: settled by the common-affix upper bound
     dp_runs: int = 0  #: pairs that actually reached the DP
-    memo_hits: int = 0  #: decisions reused from a per-push or DP-decision memo
+    memo_hits: int = 0  #: decisions reused from a per-push, per-stitch or DP-decision memo
     boundary_hits: int = 0  #: decisions reused from a worker boundary table
 
     def reset(self) -> None:
@@ -895,10 +897,15 @@ class StreakAccumulator:
         # (see precompute_boundary); the table is authoritative on hit —
         # same prepared_similar, same inputs — and misses (tails
         # stitched through from earlier chunks) fall back to computing
-        # the decision here.  Without the decision memo: a shipped
-        # accumulator arrives with an empty one, so consulting it here
-        # would make the counters depend on where the chunk ran.
+        # the decision here, through a memo that lives for this stitch
+        # only: chains extended by one query share a tail, so the same
+        # pair comes back within one stitch.  Not the scan state's own
+        # memo: a shipped accumulator arrives with an empty one, so
+        # consulting it here would make the counters depend on where
+        # the chunk ran; the per-stitch memo depends only on the two
+        # accumulators.
         boundary = self._boundary
+        memo = _DecisionMemo()
         absorbed_founders = set()
         extensions: List[Tuple[_Chain, int]] = []
         prepared_head: List[Optional[PreparedText]] = [None] * len(other.head)
@@ -919,7 +926,7 @@ class StreakAccumulator:
                     if candidate is None:
                         candidate = prepared_head[position] = PreparedText(stripped)
                     verdict = prepared_similar(
-                        tail_prepared, candidate, self.threshold
+                        tail_prepared, candidate, self.threshold, memo
                     )
                 if verdict:
                     extensions.append((chain, position))

@@ -12,15 +12,22 @@ program never runs them:
   :func:`_similar_reference` — the DP engines and the pre-prefilter
   kernel behind the streak similarity test
   (:mod:`repro.analysis.streaks`).
+* :func:`checkpoint_text_reference` — the watch checkpoint encoded as
+  one whole document, which :class:`repro.analysis.incremental.WatchSession`
+  now assembles from memoized per-dataset fragments; the tests require
+  the same bytes after every cycle.
 
 Both ``tests/`` and ``benchmarks/`` import this module.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from typing import List, Optional
 
+from repro.analysis.incremental import CHECKPOINT_KIND, CHECKPOINT_SCHEMA_VERSION
+from repro.analysis.snapshot import study_to_dict
 from repro.analysis.streaks import DEFAULT_STREAK_THRESHOLD
 from repro.exceptions import SparqlSyntaxError
 from repro.sparql.tokenizer import Token, TokenType
@@ -29,6 +36,7 @@ __all__ = [
     "_levenshtein_banded",
     "_levenshtein_full",
     "_similar_reference",
+    "checkpoint_text_reference",
     "tokenize_reference",
 ]
 
@@ -356,3 +364,24 @@ def _similar_reference(
     if len(b) - len(a) > budget:
         return False
     return _levenshtein_banded(a, b, budget) is not None
+
+
+def checkpoint_text_reference(session) -> str:
+    """What ``checkpoint.json`` must hold for *session*'s current state:
+    the whole document built and encoded in one ``json.dumps`` call."""
+    document = {
+        "kind": CHECKPOINT_KIND,
+        "schema": CHECKPOINT_SCHEMA_VERSION,
+        "generation": session.generation,
+        "inputs": list(session.inputs),
+        "config": session._config_dict(),
+        "cursors": [cursor.to_dict() for cursor in session._cursors.values()],
+        "seen": {
+            name: sorted(digests) for name, digests in session._seen.items()
+        },
+        "studies": {
+            name: study_to_dict(session._studies[name])
+            for name, _ in session._datasets
+        },
+    }
+    return json.dumps(document, separators=(",", ":")) + "\n"

@@ -15,6 +15,8 @@ pairs and real log pairs:
   budget cutoff is exact on long texts and at every budget edge;
 * the one-loop bag bound equals the two-loop formula;
 * the per-scan DP-decision memo changes no streak and no accumulator;
+* the per-stitch memo leaves stitched accumulators equal to the serial
+  scan, and each of its hits stands for one DP run;
 * worker-precomputed boundary tables leave merges byte-identical;
 * lean-mode ``repro streaks`` output is byte-identical to
   full-ingestion output.
@@ -206,6 +208,99 @@ def test_boundary_tables_leave_merges_byte_identical(texts, window, cut):
         right.push(text)
     assert primed_left.merge(right.copy()) == plain_left.merge(right)
     assert primed_left.to_dict() == plain_left.to_dict()
+
+
+#: Three orderings of one basic graph pattern: equal lengths and
+#: character bags, so every pair between them passes the prefilters,
+#: and far enough apart that the DP rejects it.
+_BOT_TRIPLES = (
+    "?film <http://dbpedia.org/ontology/director> ?director .",
+    '?director <http://xmlns.com/foaf/0.1/name> "Stanley Kubrick"@en .',
+    "?film <http://www.w3.org/2000/01/rdf-schema#label> ?title .",
+)
+_BOT_QUERIES = tuple(
+    "SELECT ?title WHERE {\n  "
+    + "\n  ".join(_BOT_TRIPLES[index] for index in order)
+    + "\n}"
+    for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+)
+
+
+def _bot_heavy_stream(size):
+    """A day log with a bot query after every entry.
+
+    The bot cycles A A B B C C through :data:`_BOT_QUERIES`, so from
+    any cut on, one bot chain on the left meets another bot text twice
+    before its own comes back: a decision the stitch asks for twice.
+    """
+    stream = []
+    for index, text in enumerate(generate_day_log(size, session_rate=0.5, seed=9)):
+        stream += [text, _BOT_QUERIES[index // 2 % 3]]
+    return stream
+
+
+_BOT_STREAM = _bot_heavy_stream(120)
+#: One bot cycle with the day-log entries between: the smallest chunk
+#: that is sure to hold every bot text.
+_BOT_CYCLE = 12
+
+
+def _accumulate(texts):
+    accumulator = StreakAccumulator()
+    for text in texts:
+        accumulator.push(text)
+    return accumulator
+
+
+@given(
+    st.lists(
+        st.integers(_BOT_CYCLE, (len(_BOT_STREAM) - _BOT_CYCLE) // 7),
+        min_size=1, max_size=7,
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_stitch_memo_changes_no_decision(sizes):
+    """Stitching 2-8 chunks equals the serial scan, and the per-stitch
+    memo answers repeated pairs instead of the DP.
+
+    Every decision that passes the prefilters is either a DP run or a
+    memo hit, so ``dp_runs + memo_hits`` is what the DP would have run
+    without the memo.
+    """
+    cuts = [0]
+    for size in sizes:
+        cuts.append(cuts[-1] + size)
+    cuts.append(len(_BOT_STREAM))
+    chunks = [
+        _accumulate(_BOT_STREAM[start:end]) for start, end in zip(cuts, cuts[1:])
+    ]
+    SIMILARITY_COUNTERS.reset()
+    stitched = chunks[0]
+    for chunk in chunks[1:]:
+        stitched.merge(chunk)
+    merges = SIMILARITY_COUNTERS.to_dict()
+    serial = _accumulate(_BOT_STREAM)
+    assert stitched == serial
+    assert stitched.to_dict() == serial.to_dict()
+    assert merges["memo_hits"] > 0
+    passed_prefilters = merges["comparisons"] - (
+        merges["equal_accepts"]
+        + merges["length_rejects"]
+        + merges["bag_rejects"]
+        + merges["trim_accepts"]
+    )
+    assert merges["dp_runs"] + merges["memo_hits"] == passed_prefilters
+
+
+def test_bot_queries_reach_the_dp_and_differ():
+    """The premise of the stream above: bot pairs need (and fail) the DP."""
+    prepared = [PreparedText.from_raw(text) for text in _BOT_QUERIES]
+    SIMILARITY_COUNTERS.reset()
+    for a in prepared:
+        for b in prepared:
+            if a is not b:
+                assert not prepared_similar(a, b)
+    assert SIMILARITY_COUNTERS.dp_runs == 6
 
 
 def test_prepared_similar_matches_stripped_similar_on_log_pairs():

@@ -22,6 +22,10 @@ layers here:
 * warm session: the held warehouse handle renders like a fresh one
   and sees other writers' ingests; steady cycles decode the stored
   study zero times and stitch once per change (zero when idle);
+* checkpoint fragments: after every cycle, resumes included, the
+  checkpoint holds the bytes of the whole-document encoding
+  (``tests/oracles.py``), and a cycle encodes only the datasets it
+  grew;
 * the ``diff`` reporter's format is golden-pinned.
 """
 
@@ -45,6 +49,7 @@ from repro.exceptions import WatchStateError
 from repro.reporting import render_diff, render_report
 
 from loggen import unique_query_pool
+from oracles import checkpoint_text_reference
 from test_golden_reports import check_golden
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -887,6 +892,84 @@ class TestWarmSession:
             with pytest.raises(WarehouseError, match="unreadable"):
                 session.cycle()
             assert session._warehouse is None
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint fragments: the assembled checkpoint is the whole-document
+# encoding, and only grown datasets are encoded again.
+# ---------------------------------------------------------------------------
+
+FRAGMENT_DATASETS = ("a", "b", "c")
+
+
+def fragment_session(tmp_path):
+    return WatchSession(
+        [str(tmp_path / f"{name}.rq") for name in FRAGMENT_DATASETS],
+        tmp_path / "state",
+        metrics=METRICS,
+        streak_window=WINDOW,
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    growth=st.lists(
+        st.lists(st.integers(0, 4), min_size=3, max_size=3),
+        min_size=2, max_size=6,
+    ),
+    data=st.data(),
+)
+def test_checkpoint_bytes_equal_whole_document_encoding(
+    tmp_path_factory, growth, data
+):
+    """After every cycle, resumes included, ``checkpoint.json`` holds
+    exactly the one-call encoding of the session's state."""
+    resume_at = data.draw(st.integers(1, len(growth) - 1))
+    tmp_path = tmp_path_factory.mktemp("fragments")
+    for name in FRAGMENT_DATASETS:
+        (tmp_path / f"{name}.rq").touch()
+    session = fragment_session(tmp_path)
+    drawn = 0
+    for number, counts in enumerate(growth):
+        if number == resume_at:
+            session = fragment_session(tmp_path)
+        for name, count in zip(FRAGMENT_DATASETS, counts):
+            write_lines(tmp_path / f"{name}.rq", STREAM[drawn:drawn + count])
+            drawn += count
+        session.cycle()
+        assert (tmp_path / "state" / "checkpoint.json").read_text(
+            encoding="utf-8"
+        ) == checkpoint_text_reference(session)
+
+
+def test_checkpoint_encodes_only_grown_datasets(tmp_path, monkeypatch):
+    """An idle cycle encodes no dataset study for the checkpoint; a
+    cycle that grows k datasets encodes exactly k."""
+    from repro.analysis import incremental
+
+    encodes = counting(monkeypatch, incremental, "study_to_dict")
+    for name in FRAGMENT_DATASETS:
+        write_lines(tmp_path / f"{name}.rq", STREAM[:3])
+    session = fragment_session(tmp_path)
+    session.cycle()
+    assert len(encodes) == len(FRAGMENT_DATASETS)
+    for grown in ((), ("b",), ("a", "c"), FRAGMENT_DATASETS, ()):
+        encodes.clear()
+        for name in grown:
+            write_lines(tmp_path / f"{name}.rq", STREAM[3:5])
+        assert session.cycle().changed == bool(grown)
+        assert len(encodes) == len(grown)
+        assert sorted(
+            name for (study,) in encodes for name in study.datasets
+        ) == sorted(grown)
+    # A resumed session starts without fragments and encodes them all.
+    encodes.clear()
+    resumed = fragment_session(tmp_path)
+    resumed.cycle()
+    assert len(encodes) == len(FRAGMENT_DATASETS)
+    assert (tmp_path / "state" / "checkpoint.json").read_text(
+        encoding="utf-8"
+    ) == checkpoint_text_reference(resumed)
 
 
 class TestWatchCli:
