@@ -17,8 +17,12 @@ warehouse, the way ``repro watch --warehouse`` runs, and records under
 ``watch_held`` how often the warehouse decoded its stored study after
 the first cycle (the held handle keeps what it merged, so: never) and
 whether the held handle renders exactly like a fresh read-only handle
-(invariant 11).  CI asserts both; they are counts and identities, so
-they hold on any runner.
+(invariant 11).  This leg runs every metric, streaks included, and
+also records how many streak DP runs the warehouse's merges made after
+the first cycle: the session has just stitched each delta onto an
+equal checkpoint, and the delta carries those decisions, so: none.
+CI asserts all three; they are counts and identities, so they hold on
+any runner.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ import time
 from pathlib import Path
 
 from _bench_utils import banner
+from repro.analysis.passes import PASS_NAMES, SEQUENCE_PASS_NAMES
+from repro.analysis.streaks import SIMILARITY_COUNTERS
 from repro.api import WatchSession, analyze_corpora, load_study
 from repro.warehouse import StudyWarehouse, store
 from repro.workload import generate_day_log
@@ -134,13 +140,26 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
         return decode(*args)
 
     monkeypatch.setattr(store, "_decode_study", counted_decode)
+    stitches = []
+    ingest = StudyWarehouse.ingest
+
+    def counted_ingest(*args, **kwargs):
+        before = SIMILARITY_COUNTERS.to_dict()
+        try:
+            return ingest(*args, **kwargs)
+        finally:
+            stitches.append(SIMILARITY_COUNTERS.delta_since(before))
+
+    monkeypatch.setattr(StudyWarehouse, "ingest", counted_ingest)
     _append(log, texts[:base])
     cycle_seconds = []
     with WatchSession(
-        [str(log)], tmp_path / "watch-state", warehouse_path=warehouse
+        [str(log)], tmp_path / "watch-state",
+        metrics=PASS_NAMES + SEQUENCE_PASS_NAMES, warehouse_path=warehouse,
     ) as session:
         session.cycle()
         decodes.clear()
+        stitches.clear()
         for index in range(CYCLES):
             start_entry = base + index * SLICE
             _append(log, texts[start_entry : start_entry + SLICE])
@@ -149,6 +168,8 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
             cycle_seconds.append(time.perf_counter() - start)
             assert outcome.total_new == SLICE
         stored_study_decodes = len(decodes)
+        warehouse_dp_runs = sum(stitch["dp_runs"] for stitch in stitches)
+        warehouse_memo_hits = sum(stitch["memo_hits"] for stitch in stitches)
         held = session._warehouse.render()
     with StudyWarehouse.open(warehouse, readonly=True) as fresh:
         identical = held == fresh.render()
@@ -162,6 +183,8 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
                 "entries_per_cycle": SLICE,
                 "mean_cycle_seconds": round(mean_cycle, 6),
                 "stored_study_decodes": stored_study_decodes,
+                "warehouse_dp_runs": warehouse_dp_runs,
+                "warehouse_memo_hits": warehouse_memo_hits,
                 "warehouse_identical": identical,
             }
         }
@@ -171,8 +194,13 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
     print(
         f"  cycle: {SLICE} entries in {mean_cycle:8.4f}s mean; "
         f"stored-study decodes after the first cycle: {stored_study_decodes}; "
+        f"warehouse stitch DP runs / memo hits: "
+        f"{warehouse_dp_runs} / {warehouse_memo_hits}; "
         f"held render == fresh render: {identical}"
     )
 
     assert stored_study_decodes == 0, "the held handle decoded its study again"
+    assert len(stitches) == CYCLES
+    assert warehouse_memo_hits > 0, "no warehouse stitch reached the DP stage"
+    assert warehouse_dp_runs == 0, "the warehouse re-ran the session's stitch DP"
     assert identical, "held-handle render must equal a fresh read-only render"

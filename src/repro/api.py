@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .analysis.context import (
     DEFAULT_SHAPE_NODE_LIMIT,
@@ -59,13 +59,15 @@ from .analysis.passes import (
     resolve_sequence_passes,
     sequence_only_selection,
 )
-from .analysis.incremental import WatchCycle, WatchSession
 from .analysis.snapshot import load_study, save_study
 from .analysis.streaks import DEFAULT_STREAK_THRESHOLD, DEFAULT_STREAK_WINDOW
 from .analysis.study import CorpusStudy, study_corpus
 from .logs import QueryLog, dataset_name, iter_entries
 from .logs.sources import read_entries
 from .reporting.reporters import render_report
+
+if TYPE_CHECKING:
+    from .analysis.incremental import WatchCycle, WatchSession
 
 __all__ = [
     "AnalysisRequest",
@@ -83,6 +85,21 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
+
+
+def __getattr__(name: str) -> Any:
+    """Import the watch session types on first access (PEP 562).
+
+    Only ``repro watch`` needs the watch machinery, and every spawned
+    ``repro`` process pays for each module it imports.
+    """
+    if name not in ("WatchCycle", "WatchSession"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .analysis import incremental
+
+    value = getattr(incremental, name)
+    globals()[name] = value
+    return value
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ from .api import (
     AnalysisRequest,
     AnalysisSession,
     CorpusStudy,
-    WatchSession,
     load_study,
     save_study,
 )
@@ -62,9 +61,9 @@ from .reporting import (
     reporter_names,
 )
 
-# Verb-specific layers (engine, workload, warehouse, the structure
-# store) are imported inside the verbs that use them: every spawned
-# ``repro`` process pays for each module it imports.
+# Verb-specific layers (engine, workload, warehouse, the watch session)
+# are imported inside the verbs that use them: every spawned ``repro``
+# process pays for each module it imports.
 
 __all__ = ["main"]
 
@@ -265,6 +264,8 @@ def _cmd_streaks(args: argparse.Namespace) -> int:
 
 def _cmd_watch(args: argparse.Namespace) -> int:
     """Incremental always-on analysis over growing logs."""
+    from .analysis.incremental import WatchSession
+
     metrics = None
     if args.metrics is not None:
         metrics = tuple(

@@ -394,22 +394,22 @@ class StudyWarehouse:
         if known is not None:
             return "unchanged"
         current = self.study()
-        # Merge a *copy* (dict round trip): CorpusStudy.merge mutates
-        # the left side, and the caller keeps ownership of `study`.
-        incoming_study = study_from_dict(incoming)
+        if current is None:
+            current = CorpusStudy(dedup=study.dedup)
         # The merge below mutates the cached study in place, so the
         # cache is dropped until the commit: a failed merge or write
         # must not leave a half-merged study behind it.
         self._study_cache = None
-        if current is None:
-            merged = incoming_study
-        else:
-            try:
-                merged = current.merge(incoming_study)
-            except ValueError as error:
-                raise WarehouseError(
-                    f"cannot ingest {source}: {error}"
-                ) from error
+        try:
+            # Merge `study` itself: CorpusStudy.merge changes none of
+            # its argument's data and copies whatever it keeps, so the
+            # caller keeps ownership, and the stitch reuses the
+            # decisions already made against the argument's streak
+            # heads (a watch cycle's delta was stitched onto its
+            # checkpoint a moment ago).
+            merged = current.merge(study)
+        except ValueError as error:
+            raise WarehouseError(f"cannot ingest {source}: {error}") from error
         body = json.dumps(study_to_dict(merged), separators=(",", ":"))
         try:
             with self._connection:

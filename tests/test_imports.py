@@ -19,7 +19,13 @@ import repro
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
 #: Loaded by the verbs that use them, never by ``import repro.cli``.
-VERB_ONLY = ("repro.engine", "repro.workload", "repro.warehouse", "sqlite3")
+VERB_ONLY = (
+    "repro.analysis.incremental",
+    "repro.engine",
+    "repro.workload",
+    "repro.warehouse",
+    "sqlite3",
+)
 
 
 def _run(code: str) -> str:

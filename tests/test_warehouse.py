@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.passes import PASS_NAMES
-from repro.analysis.snapshot import study_to_dict
+from repro.analysis.snapshot import study_from_dict, study_to_dict
 from repro.api import analyze_corpora, open_warehouse
 from repro.cli import main
 from repro.exceptions import ReproError, WarehouseError
@@ -121,6 +121,37 @@ class TestIngest:
             handle.ingest(study_a)
             handle.ingest(build_study({"beta": QUERY_POOL[:3]}))
         assert render_report(study_a, "json") == before
+
+    @pytest.mark.parametrize("prefilled", [False, True])
+    def test_ingest_takes_no_ownership_of_caller_study(self, tmp_path, prefilled):
+        """Ingest merges the caller's study itself, not a decoded copy:
+        it must leave the study's data alone, share none of it (merging
+        more shards into the study afterwards changes nothing in the
+        warehouse), and store exactly the body a decoded copy stores."""
+        study = build_study({"shared": QUERY_POOL[:5]})
+        before = study_to_dict(study)
+        decoded = study_from_dict(before)
+        bodies = []
+        for label, incoming in (("direct", study), ("decoded", decoded)):
+            path = tmp_path / f"{label}.db"
+            with StudyWarehouse.open(path) as handle:
+                if prefilled:
+                    handle.ingest(build_study({"beta": QUERY_POOL[:3]}))
+                handle.ingest(incoming)
+                assert study_to_dict(incoming) == before
+                rendered = handle.render("text")
+                held = study_to_dict(handle.study())
+                incoming.merge(build_study({"shared": QUERY_POOL[5:]}))
+                incoming.merge(build_study({"gamma": QUERY_POOL[2:6]}))
+                assert study_to_dict(incoming) != before
+                assert handle.render("text") == rendered
+                assert study_to_dict(handle.study()) == held
+            connection = sqlite3.connect(path)
+            bodies.append(
+                connection.execute("SELECT body FROM study WHERE id = 1").fetchone()[0]
+            )
+            connection.close()
+        assert bodies[0] == bodies[1]
 
     def test_incompatible_flavour_rejected_and_rolled_back(self, tmp_path):
         unique = build_study({"alpha": QUERY_POOL})
