@@ -8,7 +8,7 @@ identical decisions:
 * **distance engines** — full O(n²) DP vs banded O(k·n) DP vs the
   Myers bit-parallel algorithm the kernel actually uses;
 * **prefilters on/off** — the full filter chain
-  (:func:`repro.analysis.streaks.stripped_similar`) vs the
+  (:func:`repro.analysis.streaks.prepared_similar`) vs the
   pre-prefilter kernel kept as the correctness oracle;
 * **DP-decision memo on/off** — a streak scan with and without the
   scan state's memo of recent DP decisions;
@@ -35,9 +35,10 @@ from oracles import _levenshtein_banded, _levenshtein_full, _similar_reference
 from repro.analysis import levenshtein
 from repro.analysis.streaks import (
     SIMILARITY_COUNTERS,
+    PreparedText,
     StreakAccumulator,
+    prepared_similar,
     strip_prefixes,
-    stripped_similar,
 )
 from repro.api import analyze_corpora
 from repro.workload import generate_day_log
@@ -138,7 +139,9 @@ def test_ablation_prefilters():
 
     SIMILARITY_COUNTERS.reset()
     started = time.monotonic()
-    filtered = [stripped_similar(a, b) for a, b in pairs]
+    filtered = [
+        prepared_similar(PreparedText(a), PreparedText(b)) for a, b in pairs
+    ]
     on_elapsed = time.monotonic() - started
     counters = SIMILARITY_COUNTERS.to_dict()
     skip_rate = SIMILARITY_COUNTERS.dp_skip_rate

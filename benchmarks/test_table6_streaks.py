@@ -21,8 +21,8 @@ import time
 from pathlib import Path
 
 from _bench_utils import banner
+from oracles import streak_histogram_reference
 
-from repro.analysis import find_streaks, streak_length_histogram
 from repro.analysis.context import AnalysisOptions
 from repro.analysis.parallel import (
     TransportStats,
@@ -62,7 +62,7 @@ def test_table6_streaks(benchmark):
 
     def detect_all():
         return {
-            name: streak_length_histogram(find_streaks(log, window=30))
+            name: _detect_chunk(log).length_histogram()
             for name, log in day_logs.items()
         }
 
@@ -145,8 +145,8 @@ def test_table6_sharded_vs_serial_walltime():
             sharded_seconds = min(sharded_seconds, time.perf_counter() - started)
 
     assert sharded == serial  # byte-identical, not just same histogram
-    assert sharded.length_histogram() == streak_length_histogram(
-        find_streaks(log, window=30)
+    assert sharded.length_histogram() == streak_histogram_reference(
+        log, window=30
     )
 
     out_path = Path(os.environ.get("REPRO_BENCH_PASSES_JSON", "BENCH_passes.json"))

@@ -10,11 +10,10 @@ longest streak found.
 
 The facade runs streak detection as a *sequence pass* of the sharded
 pipeline (``metrics=("streaks",)``), so the same call scales to worker
-pools and snapshot merging; the window-size sweep at the end uses the
-low-level ``find_streaks`` scan directly to show both API levels.
+pools and snapshot merging.
 
-Also sweeps the window size to show the paper's observation that larger
-windows yield longer streaks.
+Also sweeps the window size (``streak_window=w``) to show the paper's
+observation that larger windows yield longer streaks.
 
 Run: ``python examples/streak_explorer.py [n_queries]``
 """
@@ -22,7 +21,7 @@ Run: ``python examples/streak_explorer.py [n_queries]``
 import sys
 from typing import Optional, Sequence
 
-from repro import find_streaks, generate_day_log
+from repro import generate_day_log
 from repro.api import analyze_corpora
 from repro.reporting import render_table6_from_study
 
@@ -53,9 +52,10 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     print("\nWindow-size sweep (paper: larger windows → longer streaks):")
     print(f"{'window':>7} {'#streaks':>9} {'longest':>8}")
     for window in (5, 15, 30, 60, 120):
-        swept = find_streaks(log, window=window)
-        longest_length = max((s.length for s in swept), default=0)
-        print(f"{window:>7} {len(swept):>9} {longest_length:>8}")
+        swept = analyze_corpora(
+            {"day-log": log}, metrics=("streaks",), streak_window=window
+        ).study.datasets["day-log"].streaks
+        print(f"{window:>7} {swept.streak_count:>9} {swept.longest:>8}")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,6 @@ _EXPORTS: Dict[str, Tuple[str, ...]] = {
         "classify_path",
         "classify_shape",
         "extract_features",
-        "find_streaks",
         "hypertree_width",
         "treewidth",
     ),
@@ -136,7 +135,7 @@ def __dir__() -> List[str]:
     return sorted(set(globals()) | set(__all__))
 
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AnalysisRequest",
@@ -166,7 +165,6 @@ __all__ = [
     "classify_path",
     "classify_shape",
     "extract_features",
-    "find_streaks",
     "hypertree_width",
     "treewidth",
     "CorpusStudy",

@@ -59,17 +59,11 @@ from .property_paths import (
     is_navigational,
 )
 from .shapes import ShapeProfile, classify_shape
-from .streak_metrics import StreakMetrics, compute_streak_metrics, keyword_evolution
 from .streaks import (
     DEFAULT_STREAK_THRESHOLD,
     DEFAULT_STREAK_WINDOW,
-    Streak,
     StreakAccumulator,
-    StreakDetector,
-    find_streaks,
     levenshtein,
-    queries_similar,
-    streak_length_histogram,
     strip_prefixes,
 )
 from .treewidth import TreewidthResult, treewidth, treewidth_at_most_2
@@ -98,9 +92,6 @@ __all__ = [
     "resolve_passes",
     "resolve_sequence_passes",
     "run_passes",
-    "StreakMetrics",
-    "compute_streak_metrics",
-    "keyword_evolution",
     "Hypergraph",
     "canonical_graph",
     "canonical_hypergraph",
@@ -137,13 +128,8 @@ __all__ = [
     "classify_shape",
     "DEFAULT_STREAK_THRESHOLD",
     "DEFAULT_STREAK_WINDOW",
-    "Streak",
     "StreakAccumulator",
-    "StreakDetector",
-    "find_streaks",
     "levenshtein",
-    "queries_similar",
-    "streak_length_histogram",
     "strip_prefixes",
     "TreewidthResult",
     "treewidth",

@@ -106,6 +106,28 @@ class AnalysisOptions:
     #: per-query pass (per-query passes need parsed ASTs).
     lean_ingestion: bool = False
 
+    def __post_init__(self) -> None:
+        """Reject out-of-range limits here, where every entry point —
+        :class:`repro.api.AnalysisRequest` and ``repro watch`` alike —
+        builds its options, before any state is written."""
+        if self.shape_node_limit < 1:
+            raise ValueError(
+                f"shape_node_limit must be >= 1, got {self.shape_node_limit}"
+            )
+        if self.cache_size < 0:
+            raise ValueError(
+                f"cache_size must be >= 0 (0 disables), got {self.cache_size}"
+            )
+        if self.streak_window < 1:
+            raise ValueError(
+                f"streak_window must be >= 1, got {self.streak_window}"
+            )
+        if not 0.0 <= self.streak_threshold <= 1.0:  # also rejects NaN
+            raise ValueError(
+                f"streak_threshold must be within [0, 1], "
+                f"got {self.streak_threshold}"
+            )
+
 
 #: Default options instance shared by every driver entry point.
 DEFAULT_OPTIONS = AnalysisOptions()

@@ -42,6 +42,11 @@ in ``tests/test_streak_prefilters.py``):
 
 See ``docs/PERFORMANCE.md`` for the measured effect of each stage and
 :data:`SIMILARITY_COUNTERS` for per-process instrumentation.
+
+:class:`StreakAccumulator` is the one streak scanner: fed serially it
+is the scan, and its per-chunk states merge into the state of the
+whole stream.  The plain serial scan it is checked against lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "BUCKET_LABELS",
@@ -59,18 +64,12 @@ __all__ = [
     "STREAK_BUCKETS",
     "PreparedText",
     "SimilarityCounters",
-    "Streak",
     "StreakAccumulator",
-    "StreakDetector",
     "bag_distance_bound",
     "bucket_label",
-    "find_streaks",
     "levenshtein",
     "prepared_similar",
-    "queries_similar",
-    "streak_length_histogram",
     "strip_prefixes",
-    "stripped_similar",
 ]
 
 _BODY_START_RE = re.compile(r"\b(SELECT|ASK|CONSTRUCT|DESCRIBE)\b", re.IGNORECASE)
@@ -415,9 +414,10 @@ def prepared_similar(
 ) -> bool:
     """The similarity test on prepared texts — the kernel's hot path.
 
-    Decision-identical to :func:`stripped_similar` on the underlying
-    texts (property-tested); the filter chain documented in the module
-    docstring only changes *how fast* the answer arrives.  *memo* (a
+    Decision-identical to the plain banded-DP test on the underlying
+    texts (property-tested against ``tests/oracles.py``); the filter
+    chain documented in the module docstring only changes *how fast*
+    the answer arrives.  *memo* (a
     scan state's :class:`_DecisionMemo`, always used with the same
     *threshold*) is consulted after the prefilters, right before the
     DP.
@@ -453,145 +453,6 @@ def prepared_similar(
     if memo is not None:
         memo.put(key, verdict)
     return verdict
-
-
-def stripped_similar(
-    stripped_a: str, stripped_b: str, threshold: float = DEFAULT_STREAK_THRESHOLD
-) -> bool:
-    """The similarity test on already prefix-stripped texts.
-
-    The single definition shared by :class:`StreakDetector` and
-    :class:`StreakAccumulator` — both must agree on every pair, or
-    sharded detection could diverge from the serial scan.  Delegates to
-    :func:`prepared_similar`; callers comparing one text against many
-    should prepare it once instead.
-    """
-    return prepared_similar(
-        PreparedText(stripped_a), PreparedText(stripped_b), threshold
-    )
-
-
-def queries_similar(
-    text_a: str, text_b: str, threshold: float = DEFAULT_STREAK_THRESHOLD
-) -> bool:
-    """The paper's similarity test (prefix-stripped, ≤ 25% edits)."""
-    return stripped_similar(
-        strip_prefixes(text_a), strip_prefixes(text_b), threshold
-    )
-
-
-@dataclass
-class Streak:
-    """A maximal streak: member indices into the analyzed log."""
-
-    indices: List[int] = field(default_factory=list)
-    tail_text: str = ""
-    tail_stripped: str = ""
-
-    @property
-    def length(self) -> int:
-        """Number of member queries."""
-        return len(self.indices)
-
-    @property
-    def start(self) -> int:
-        """Stream position of the first member."""
-        return self.indices[0]
-
-    @property
-    def end(self) -> int:
-        """Stream position of the last member."""
-        return self.indices[-1]
-
-
-class StreakDetector:
-    """Online streak detection over an ordered query stream.
-
-    Feed queries with :meth:`push`; finished streaks accumulate in
-    :attr:`finished`.  Call :meth:`close` at end of stream.
-    """
-
-    def __init__(self, window: int = 30, threshold: float = 0.25) -> None:
-        if window < 1:
-            raise ValueError("window must be positive")
-        self.window = window
-        self.threshold = threshold
-        self.finished: List[Streak] = []
-        self._active: List[Tuple[Streak, PreparedText]] = []
-        self._position = -1
-        self._memo = _DecisionMemo()
-
-    def push(self, query_text: str) -> None:
-        """Feed the next query of the ordered stream."""
-        self._position += 1
-        position = self._position
-        # Retire streaks that fell out of the window.
-        still_active: List[Tuple[Streak, PreparedText]] = []
-        for entry in self._active:
-            if position - entry[0].end > self.window:
-                self.finished.append(entry[0])
-            else:
-                still_active.append(entry)
-        self._active = still_active
-
-        prepared = PreparedText.from_raw(query_text)
-        # Distinct active streaks often share a tail (the query that
-        # extended them all); decide once per distinct tail text.
-        decisions: Dict[str, bool] = {}
-        extended = False
-        for index, (streak, tail) in enumerate(self._active):
-            key = tail.text
-            if key in decisions:
-                verdict = decisions[key]
-                SIMILARITY_COUNTERS.memo_hits += 1
-            else:
-                verdict = prepared_similar(
-                    tail, prepared, self.threshold, self._memo
-                )
-                decisions[key] = verdict
-            if verdict:
-                streak.indices.append(position)
-                streak.tail_text = query_text
-                streak.tail_stripped = prepared.text
-                self._active[index] = (streak, prepared)
-                extended = True
-        if not extended:
-            self._active.append(
-                (
-                    Streak(
-                        indices=[position],
-                        tail_text=query_text,
-                        tail_stripped=prepared.text,
-                    ),
-                    prepared,
-                )
-            )
-
-    def close(self) -> List[Streak]:
-        """Flush still-active streaks and return every streak found."""
-        self.finished.extend(streak for streak, _ in self._active)
-        self._active = []
-        return self.finished
-
-
-def find_streaks(
-    queries: Iterable[str], window: int = 30, threshold: float = 0.25
-) -> List[Streak]:
-    """Detect all streaks in an ordered sequence of query texts."""
-    detector = StreakDetector(window=window, threshold=threshold)
-    for query_text in queries:
-        detector.push(query_text)
-    return detector.close()
-
-
-def streak_length_histogram(
-    streaks: Sequence[Streak],
-) -> Dict[str, int]:
-    """Bucket streak lengths into Table 6's rows."""
-    histogram: Dict[str, int] = {label: 0 for label in BUCKET_LABELS}
-    for streak in streaks:
-        histogram[bucket_label(streak.length)] += 1
-    return histogram
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +541,8 @@ class StreakAccumulator:
     query belongs to (all chains containing a query share one suffix
     from it, because extending sets the same tail), and deletes the
     absorbed chain if that query *founded* it.  The result is exactly —
-    chain records, tails, histogram, bytes — what the serial detector
-    produces over the concatenated stream, property-tested in
+    chain records, tails, histogram, bytes — what one accumulator fed
+    the concatenated stream holds, property-tested in
     ``tests/test_streak_accumulator.py``.
 
     Canonical form (load-bearing for byte-identical snapshots):
@@ -752,9 +613,9 @@ class StreakAccumulator:
         self.length += 1
         if position < self.window:
             self.head.append(prepared.text)
-        # Retire chains that fell out of the window (mirrors
-        # StreakDetector.push); head-founded ones stay as records
-        # because a future left-hand merge may still absorb them.
+        # Skip chains that fell out of the window; head-founded ones
+        # stay as records because a future left-hand merge may still
+        # absorb them.
         # Chains sharing a tail (extended by the same query) share one
         # decision, so memoize per distinct tail text within the push.
         decisions: Dict[str, bool] = {}
@@ -1019,8 +880,7 @@ class StreakAccumulator:
 
     @property
     def streak_count(self) -> int:
-        """Total streaks detected so far (open ones count: the serial
-        detector's ``close()`` flushes them as finished)."""
+        """Total streaks detected so far, open ones included."""
         return len(self.chains) + sum(self.closed.values())
 
     @property
@@ -1035,8 +895,9 @@ class StreakAccumulator:
     def length_histogram(self) -> Dict[str, int]:
         """The Table 6 row histogram, every bucket present in row order.
 
-        Equals ``streak_length_histogram(find_streaks(stream))`` for the
-        stream this accumulator (or its merged parts) consumed.
+        Equals the serial reference scan's histogram
+        (``tests/oracles.py``) for the stream this accumulator (or its
+        merged parts) consumed.
         """
         histogram: Dict[str, int] = {label: 0 for label in BUCKET_LABELS}
         for length, count in self.closed.items():

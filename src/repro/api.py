@@ -56,7 +56,6 @@ from .analysis.parallel import (
 from .analysis.passes import (
     PassProfile,
     resolve_passes,
-    resolve_sequence_passes,
     sequence_only_selection,
 )
 from .analysis.snapshot import load_study, save_study
@@ -146,18 +145,14 @@ class AnalysisRequest:
     #: Extra PREFIX declarations assumed by the endpoint's parser.
     extra_prefixes: Optional[Mapping[str, str]] = None
     #: Lean ingestion: skip SPARQL parsing, deduplication and AST
-    #: retention — only legal when *metrics* selects sequence passes
-    #: exclusively (they read the raw ordered stream).  ``None`` (the
-    #: default) auto-enables lean mode for exactly those selections;
-    #: ``False`` forces full ingestion, ``True`` asserts lean and
-    #: fails validation if a per-query pass is also selected.
-    lean: Optional[bool] = None
+    #: retention when *metrics* selects sequence passes exclusively
+    #: (they read the raw ordered stream).  ``False`` forces the full
+    #: pipeline, which restores Table 1's Valid and Unique counts.
+    lean: bool = True
 
     def lean_ingestion(self) -> bool:
         """Whether this request ingests leanly (see :attr:`lean`)."""
-        if self.lean is not None:
-            return self.lean
-        return sequence_only_selection(self.metrics)
+        return self.lean and sequence_only_selection(self.metrics)
 
     def options(self) -> AnalysisOptions:
         """The per-query analysis options this request implies."""
@@ -172,7 +167,11 @@ class AnalysisRequest:
         )
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on contradictions a run would hit later."""
+        """Raise ``ValueError`` on contradictions a run would hit later.
+
+        Range checks of the analysis limits live in
+        :class:`~repro.analysis.context.AnalysisOptions`, which
+        :meth:`options` builds."""
         if self.inputs and self.corpora is not None:
             raise ValueError("provide either inputs or corpora, not both")
         if not self.inputs and self.corpora is None:
@@ -187,36 +186,8 @@ class AnalysisRequest:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.shape_node_limit < 1:
-            raise ValueError(
-                f"shape_node_limit must be >= 1, got {self.shape_node_limit}"
-            )
-        if self.cache_size < 0:
-            raise ValueError(
-                f"cache_size must be >= 0 (0 disables), got {self.cache_size}"
-            )
-        if self.streak_window < 1:
-            raise ValueError(
-                f"streak_window must be >= 1, got {self.streak_window}"
-            )
-        if not 0.0 <= self.streak_threshold <= 1.0:
-            raise ValueError(
-                f"streak_threshold must be within [0, 1], "
-                f"got {self.streak_threshold}"
-            )
+        self.options()  # out-of-range limits raise here
         resolve_passes(self.metrics)  # unknown metric names raise here
-        if self.lean:
-            if not resolve_sequence_passes(self.metrics):
-                raise ValueError(
-                    "lean ingestion requires a sequence metric "
-                    "(e.g. metrics=('streaks',))"
-                )
-            if not sequence_only_selection(self.metrics):
-                raise ValueError(
-                    "lean ingestion skips parsing, but the selected "
-                    "metrics include per-query passes that need parsed "
-                    "queries; drop them or use lean=False"
-                )
         if self.inputs:
             seen: Dict[str, PathLike] = {}
             for path in self.inputs:

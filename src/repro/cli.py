@@ -231,9 +231,6 @@ def _cmd_streaks(args: argparse.Namespace) -> int:
         streak_threshold=args.threshold,
         workers=args.workers,
         chunk_size=args.chunk_size,
-        # Sequence-only → lean ingestion by default; --full-ingestion
-        # restores the parse/dedup pipeline (identical Table 6 bytes).
-        lean=False if args.full_ingestion else None,
     )
     if args.synthetic:
         from .workload import generate_day_log
@@ -576,27 +573,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="normalized-Levenshtein similarity threshold for "
         f"`--metrics streaks` (default {DEFAULT_STREAK_THRESHOLD})",
     )
-    lean_group = analyze.add_mutually_exclusive_group()
-    lean_group.add_argument(
-        "--lean",
-        dest="lean",
-        action="store_const",
-        const=True,
-        default=None,
-        help="skip SPARQL parsing, deduplication and AST retention "
-        "during ingestion; requires a sequence-only --metrics selection "
-        "(e.g. --metrics streaks).  The default already ingests leanly "
-        "for such selections — this flag makes it an explicit, "
-        "validated assertion.  Valid/Unique report 0 in lean runs",
-    )
-    lean_group.add_argument(
+    analyze.add_argument(
         "--full-ingestion",
         dest="lean",
-        action="store_const",
-        const=False,
-        help="force the full clean -> parse -> dedup pipeline even for "
-        "sequence-only --metrics selections (restores Valid/Unique "
-        "counts at full ingestion cost; streak output is identical)",
+        action="store_false",
+        help="run the full clean -> parse -> dedup pipeline even for "
+        "sequence-only --metrics selections, which otherwise skip it "
+        "(restores Valid/Unique counts; streak output is identical)",
     )
     analyze.add_argument(
         "--shape-node-limit",
@@ -891,7 +874,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "`analyze --metrics streaks`",
     )
     streaks.add_argument("file", nargs="?", help="ordered query log file")
-    streaks.add_argument("--synthetic", type=int, default=0, metavar="N")
+    streaks.add_argument("--synthetic", type=_nonnegative_int, default=0, metavar="N")
     streaks.add_argument("--window", type=_positive_int, default=DEFAULT_STREAK_WINDOW)
     streaks.add_argument(
         "--threshold", type=float, default=DEFAULT_STREAK_THRESHOLD
@@ -911,13 +894,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="entries per shard (default: adaptive, sized to the input)",
-    )
-    streaks.add_argument(
-        "--full-ingestion",
-        action="store_true",
-        help="run the full clean -> parse -> dedup pipeline instead of "
-        "the default lean scan (Table 6 output is byte-identical; only "
-        "ingestion cost differs)",
     )
     streaks.set_defaults(func=_cmd_streaks)
 

@@ -12,6 +12,10 @@ program never runs them:
   :func:`_similar_reference` — the DP engines and the pre-prefilter
   kernel behind the streak similarity test
   (:mod:`repro.analysis.streaks`).
+* :func:`streaks_reference` and :func:`streak_histogram_reference` —
+  the plain serial streak scan (§8) that
+  :class:`repro.analysis.streaks.StreakAccumulator`, fed serially or
+  stitched from chunks, must match.
 * :func:`checkpoint_text_reference` — the watch checkpoint encoded as
   one whole document, which :class:`repro.analysis.incremental.WatchSession`
   now assembles from memoized per-dataset fragments; the tests require
@@ -24,11 +28,18 @@ from __future__ import annotations
 
 import json
 import re
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.analysis.incremental import CHECKPOINT_KIND, CHECKPOINT_SCHEMA_VERSION
 from repro.analysis.snapshot import study_to_dict
-from repro.analysis.streaks import DEFAULT_STREAK_THRESHOLD
+from repro.analysis.streaks import (
+    BUCKET_LABELS,
+    DEFAULT_STREAK_THRESHOLD,
+    DEFAULT_STREAK_WINDOW,
+    PreparedText,
+    bucket_label,
+    prepared_similar,
+)
 from repro.exceptions import SparqlSyntaxError
 from repro.sparql.tokenizer import Token, TokenType
 
@@ -37,6 +48,8 @@ __all__ = [
     "_levenshtein_full",
     "_similar_reference",
     "checkpoint_text_reference",
+    "streak_histogram_reference",
+    "streaks_reference",
     "tokenize_reference",
 ]
 
@@ -349,7 +362,7 @@ def _similar_reference(
     """The pre-prefilter similarity kernel.
 
     ``tests/test_streak_prefilters.py`` property-tests
-    :func:`repro.analysis.streaks.stripped_similar` against this on
+    :func:`repro.analysis.streaks.prepared_similar` against this on
     arbitrary pairs: the filter chain must never flip a decision.
     """
     if stripped_a == stripped_b:
@@ -364,6 +377,52 @@ def _similar_reference(
     if len(b) - len(a) > budget:
         return False
     return _levenshtein_banded(a, b, budget) is not None
+
+
+def streaks_reference(
+    queries: Iterable[str],
+    window: int = DEFAULT_STREAK_WINDOW,
+    threshold: float = DEFAULT_STREAK_THRESHOLD,
+) -> List[List[int]]:
+    """Every streak of the ordered *queries*, as its members' positions,
+    in founding order.
+
+    The definition read off §8 as one serial scan: a streak whose last
+    member is more than *window* positions back is retired; each query
+    extends every in-window streak whose tail it is similar to, and
+    founds a new streak if it extended none.
+    """
+    if window < 1:
+        raise ValueError("window must be positive")
+    streaks: List[List[int]] = []
+    tails: List[PreparedText] = []
+    active: List[int] = []  # indices into ``streaks`` still in the window
+    for position, text in enumerate(queries):
+        prepared = PreparedText.from_raw(text)
+        active = [i for i in active if position - streaks[i][-1] <= window]
+        extended = False
+        for i in active:
+            if prepared_similar(tails[i], prepared, threshold):
+                streaks[i].append(position)
+                tails[i] = prepared
+                extended = True
+        if not extended:
+            active.append(len(streaks))
+            streaks.append([position])
+            tails.append(prepared)
+    return streaks
+
+
+def streak_histogram_reference(
+    queries: Iterable[str],
+    window: int = DEFAULT_STREAK_WINDOW,
+    threshold: float = DEFAULT_STREAK_THRESHOLD,
+) -> Dict[str, int]:
+    """Table 6's rows for :func:`streaks_reference`, every bucket present."""
+    histogram = {label: 0 for label in BUCKET_LABELS}
+    for members in streaks_reference(queries, window, threshold):
+        histogram[bucket_label(len(members))] += 1
+    return histogram
 
 
 def checkpoint_text_reference(session) -> str:

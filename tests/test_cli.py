@@ -160,6 +160,12 @@ class TestCommands:
     def test_streaks_requires_input(self, capsys):
         assert main(["streaks"]) == 2
 
+    def test_streaks_rejects_negative_synthetic_size(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["streaks", "--synthetic", "-5"])
+        assert excinfo.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_streaks_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["streaks", str(tmp_path / "missing.log")]) == 2
         assert "streaks:" in capsys.readouterr().err

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis import find_streaks, streak_length_histogram
+from oracles import streaks_reference
+from repro.analysis.streaks import StreakAccumulator
 from repro.analysis.study import study_corpus
 from repro.engine import IndexedEngine, NestedLoopEngine
 from repro.logs import build_query_log, encode_access_log_line, iter_queries
@@ -100,11 +101,14 @@ class TestAccessLogRoundTrip:
 class TestStreakPipeline:
     def test_day_log_streaks(self):
         log = generate_day_log(n_queries=250, session_rate=0.4, seed=3)
-        streaks = find_streaks(log, window=30)
-        histogram = streak_length_histogram(streaks)
-        assert sum(histogram.values()) == len(streaks)
+        accumulator = StreakAccumulator()
+        for text in log:
+            accumulator.push(text)
+        streaks = streaks_reference(log, window=30)
+        assert sum(accumulator.length_histogram().values()) == len(streaks)
+        assert accumulator.longest == max(len(s) for s in streaks)
         # Sessions must produce at least one multi-query streak.
-        assert any(s.length >= 2 for s in streaks)
+        assert accumulator.longest >= 2
 
 
 class TestFigure3Pipeline:

@@ -7,7 +7,7 @@ The contract under test (ISSUE 5 acceptance criteria):
   canonical snapshot bytes), for any chunk split, property-tested
   across windows and chunk sizes;
 * the accumulator's histogram is byte-identical to the serial
-  ``find_streaks`` path;
+  reference scan in ``tests/oracles.py``;
 * chunk-boundary edge cases hold: streaks spanning three or more
   chunks, windows larger than the chunk size, and empty chunks.
 """
@@ -17,11 +17,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.streaks import (
-    StreakAccumulator,
-    find_streaks,
-    streak_length_histogram,
-)
+from oracles import streak_histogram_reference, streaks_reference
+from repro.analysis.streaks import StreakAccumulator
 
 # Five families: members of a family are pairwise similar (short
 # suffix edits), different families are dissimilar — so random draws
@@ -59,16 +56,18 @@ class TestPushMatchesSerialDetector:
     def test_histogram_equals_find_streaks(self, window):
         stream = [make_query(i % 5, i % 3) for i in range(60)]
         accumulator = detect(stream, window)
-        assert accumulator.length_histogram() == streak_length_histogram(
-            find_streaks(stream, window=window)
+        assert accumulator.length_histogram() == streak_histogram_reference(
+            stream, window=window
         )
-        assert accumulator.streak_count == len(find_streaks(stream, window=window))
+        assert accumulator.streak_count == len(
+            streaks_reference(stream, window=window)
+        )
 
     def test_longest_matches_serial(self):
         stream = [make_query(0, i) for i in range(7)] + [make_query(3, 9)]
         accumulator = detect(stream, 30)
-        serial = find_streaks(stream, window=30)
-        assert accumulator.longest == max(s.length for s in serial)
+        serial = streaks_reference(stream, window=30)
+        assert accumulator.longest == max(len(s) for s in serial)
 
     def test_empty_stream(self):
         accumulator = StreakAccumulator()
@@ -189,8 +188,8 @@ def test_merge_equals_serial_property(stream, window, data):
     assert merged == serial
     # Canonical snapshot form: identical bytes, not just equal values.
     assert json.dumps(merged.to_dict()) == json.dumps(serial.to_dict())
-    assert merged.length_histogram() == streak_length_histogram(
-        find_streaks(stream, window=window)
+    assert merged.length_histogram() == streak_histogram_reference(
+        stream, window=window
     )
 
 

@@ -19,33 +19,31 @@ pairs and real log pairs:
   each of its hits stands for one DP run, and a second stitch of the
   same head onto an equal left side runs no DP;
 * worker-precomputed boundary tables leave merges byte-identical;
-* lean-mode ``repro streaks`` output is byte-identical to
-  full-ingestion output.
+* lean-mode streak state is byte-identical to full-ingestion state.
 """
 
-import io
-import contextlib
 import pickle
 import string
 
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import _levenshtein_full, _similar_reference
+from oracles import (
+    _levenshtein_full,
+    _similar_reference,
+    streak_histogram_reference,
+    streaks_reference,
+)
 from repro.analysis.streaks import (
     PreparedText,
     SIMILARITY_COUNTERS,
     StreakAccumulator,
-    StreakDetector,
     _DecisionMemo,
     bag_distance_bound,
-    find_streaks,
     levenshtein,
     prepared_similar,
     strip_prefixes,
-    stripped_similar,
 )
 from repro.api import analyze_corpora
-from repro.cli import main
 from repro.workload import generate_day_log
 
 # Small alphabet: collisions (equal bags, shared affixes, near misses)
@@ -97,9 +95,9 @@ def test_bag_bound_is_a_lower_bound(a, b):
 @given(_texts, _texts, _thresholds)
 def test_prefilters_never_flip_a_decision(a, b, threshold):
     """Filtered kernel ≡ pre-prefilter reference kernel, any pair."""
-    assert stripped_similar(a, b, threshold) == _similar_reference(
-        a, b, threshold
-    )
+    assert prepared_similar(
+        PreparedText(a), PreparedText(b), threshold
+    ) == _similar_reference(a, b, threshold)
 
 
 @given(_texts, _texts)
@@ -146,7 +144,8 @@ def test_one_loop_bag_bound_equals_two_loop_formula(pair):
 
 
 def test_decision_memo_changes_no_output():
-    """Memo on vs off: same streaks, same accumulator, fewer DP runs.
+    """Memo on vs off: same accumulator, same streaks as the reference
+    scan, fewer DP runs.
 
     Every DP run the memo saves shows up as one more memo hit, and the
     number of decisions asked for does not move.
@@ -154,20 +153,16 @@ def test_decision_memo_changes_no_output():
     log = generate_day_log(600, session_rate=0.3, seed=5)
     runs = {}
     for memo_on in (True, False):
-        detector = StreakDetector()
         accumulator = StreakAccumulator()
         if not memo_on:
-            detector._memo = accumulator._memo = None
+            accumulator._memo = None
         SIMILARITY_COUNTERS.reset()
         for text in log:
-            detector.push(text)
             accumulator.push(text)
-        streaks = [(s.indices, s.tail_text) for s in detector.close()]
-        runs[memo_on] = (streaks, accumulator, SIMILARITY_COUNTERS.to_dict())
-    (on_streaks, on_acc, on), (off_streaks, off_acc, off) = runs[True], runs[False]
-    assert on_streaks == off_streaks == [
-        (s.indices, s.tail_text) for s in find_streaks(log)
-    ]
+        runs[memo_on] = (accumulator, SIMILARITY_COUNTERS.to_dict())
+    (on_acc, on), (off_acc, off) = runs[True], runs[False]
+    assert on_acc.length_histogram() == streak_histogram_reference(log)
+    assert on_acc.longest == max(len(s) for s in streaks_reference(log))
     assert on_acc == off_acc
     assert on_acc.to_dict() == off_acc.to_dict()
     assert on["comparisons"] == off["comparisons"]
@@ -385,7 +380,8 @@ def test_bot_queries_reach_the_dp_and_differ():
 
 
 def test_prepared_similar_matches_stripped_similar_on_log_pairs():
-    """Real log pairs through both entry points, plus counter sanity."""
+    """Real log pairs through the kernel and the reference, plus
+    counter sanity."""
     stripped = [strip_prefixes(q) for q in generate_day_log(120, seed=3)]
     pairs = [(a, b) for a in stripped[:40] for b in stripped[40:80]]
     SIMILARITY_COUNTERS.reset()
@@ -419,34 +415,6 @@ def test_lean_mode_streak_state_is_byte_identical():
     assert lean.study.datasets["day"].total == len(log)
     assert lean.study.datasets["day"].valid == 0  # parse never ran
     assert full.study.datasets["day"].valid > 0
-
-
-def test_lean_cli_streaks_output_byte_identical():
-    """End to end: `repro streaks` lean vs --full-ingestion bytes."""
-    outputs = {}
-    for label, extra in (("lean", []), ("full", ["--full-ingestion"])):
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            code = main(
-                ["streaks", "--synthetic", "300", "--seed", "2016", *extra]
-            )
-        assert code == 0
-        outputs[label] = buffer.getvalue()
-    assert outputs["lean"] == outputs["full"]
-    assert "Table 6" in outputs["lean"]
-
-
-def test_lean_requires_sequence_only_metrics():
-    """lean=True with per-query passes must fail validation loudly."""
-    import pytest
-
-    with pytest.raises(ValueError, match="per-query passes"):
-        analyze_corpora(
-            {"day": ["ASK { ?s ?p ?o }"]}, metrics=("shallow", "streaks"),
-            lean=True,
-        )
-    with pytest.raises(ValueError, match="sequence metric"):
-        analyze_corpora({"day": ["ASK { ?s ?p ?o }"]}, lean=True)
 
 
 def test_parallel_ingestion_counters_match_serial_exactly():

@@ -3,7 +3,7 @@
 End-to-end contracts:
 
 * ``repro analyze --metrics streaks`` (via the facade) detects exactly
-  what the standalone serial ``find_streaks`` scan detects — serial,
+  what the serial reference scan (``tests/oracles.py``) detects — serial,
   sharded, and streamed ingestion all byte-identical;
 * streak state snapshots with the study (``SCHEMA_VERSION`` 3, lean
   chains), and a reloaded snapshot renders Table 6 byte-identically to
@@ -18,13 +18,13 @@ import json
 
 import pytest
 
+from oracles import streak_histogram_reference, streaks_reference
 from repro.analysis.snapshot import (
     SCHEMA_VERSION,
     load_study,
     save_study,
     study_from_dict,
 )
-from repro.analysis.streaks import find_streaks, streak_length_histogram
 from repro.api import AnalysisRequest, AnalysisSession, analyze_corpora, merge_studies
 from repro.exceptions import StudySnapshotError
 from repro.reporting import render_table6_from_study
@@ -45,10 +45,12 @@ class TestFacadeEquivalence:
     def test_matches_serial_find_streaks(self, day_log, streak_result):
         accumulator = streak_result.study.datasets["day"].streaks
         assert accumulator is not None
-        serial = find_streaks(day_log, window=30)
-        assert accumulator.length_histogram() == streak_length_histogram(serial)
+        serial = streaks_reference(day_log, window=30)
+        assert accumulator.length_histogram() == streak_histogram_reference(
+            day_log, window=30
+        )
         assert accumulator.streak_count == len(serial)
-        assert accumulator.longest == max(s.length for s in serial)
+        assert accumulator.longest == max(len(s) for s in serial)
 
     @pytest.mark.parametrize("chunk_size", [7, 64])
     def test_sharded_is_byte_identical(self, day_log, streak_result, chunk_size):
@@ -91,8 +93,9 @@ class TestFacadeEquivalence:
         accumulator = result.study.datasets["day"].streaks
         assert accumulator.window == 5
         assert accumulator.threshold == 0.1
-        serial = find_streaks(day_log, window=5, threshold=0.1)
-        assert accumulator.length_histogram() == streak_length_histogram(serial)
+        assert accumulator.length_histogram() == streak_histogram_reference(
+            day_log, window=5, threshold=0.1
+        )
 
     def test_streaks_combine_with_per_query_passes(self, day_log):
         both = analyze_corpora({"day": day_log}, metrics=("shallow", "streaks"))

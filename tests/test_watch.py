@@ -1030,6 +1030,21 @@ class TestWatchCli:
         ) == 2
         assert "selects no passes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["7", "nan"])
+    def test_watch_rejects_out_of_range_threshold(
+        self, tmp_path, capsys, threshold
+    ):
+        """The range check `analyze` applies: exit 2 before any state
+        is written, not a checkpoint the next cycle refuses to load."""
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        write_lines(source, STREAM[:5])
+        assert main(
+            ["watch", str(source), "--state", str(state), "--interval", "0",
+             "--metrics", "streaks", "--streak-threshold", threshold]
+        ) == 2
+        assert "streak_threshold must be within [0, 1]" in capsys.readouterr().err
+        assert not state.exists()
+
     def test_watch_reports_truncation(self, tmp_path, capsys):
         source, state = tmp_path / "day.rq", tmp_path / "state"
         write_lines(source, STREAM[:5])
