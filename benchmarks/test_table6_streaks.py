@@ -27,7 +27,7 @@ from repro.analysis.context import AnalysisOptions
 from repro.analysis.parallel import (
     TransportStats,
     WorkerPool,
-    build_query_log_parallel,
+    build_query_logs_parallel,
 )
 from repro.analysis.streaks import SIMILARITY_COUNTERS, StreakAccumulator
 from repro.reporting import render_table6
@@ -97,7 +97,7 @@ def test_table6_sharded_vs_serial_walltime():
     """Serial scan vs the sharded runtime's scan of one day log.
 
     The sharded side is the real product path — lean ingestion through
-    :func:`build_query_log_parallel` on a persistent
+    :func:`build_query_logs_parallel` on a persistent
     :class:`WorkerPool` with the adaptive chunk schedule — so the
     recorded trajectory tracks what users actually run.  Both sides are
     timed best-of-``REPRO_BENCH_ROUNDS`` after a warm-up scan.  Asserts
@@ -132,9 +132,9 @@ def test_table6_sharded_vs_serial_walltime():
 
         def run_sharded():
             stats = TransportStats()
-            qlog = build_query_log_parallel(
-                "day", log, options=options, pool=pool, transport=stats,
-            )
+            qlog = build_query_logs_parallel(
+                {"day": log}, options=options, pool=pool, transport=stats,
+            )["day"]
             return qlog.sequences["streaks"], stats
 
         sharded, transport = run_sharded()  # warm-up (pool start-up)

@@ -52,16 +52,11 @@ _EXPORTS: Dict[str, Tuple[str, ...]] = {
         "treewidth",
     ),
     "analysis.parallel": (
-        "build_query_log_parallel",
         "build_query_logs_parallel",
         "measure_chunk",
-        "merge_shards",
         "study_corpus_parallel",
     ),
     "analysis.study": ("CorpusStudy", "DatasetStats", "measure_query", "study_corpus"),
-    # The root exports the facade's merge_studies (dedup inferred from
-    # the studies themselves); the parallel drivers' lower-level
-    # variant stays importable from repro.analysis.parallel.
     "api": (
         "AnalysisRequest",
         "AnalysisResult",
@@ -135,7 +130,7 @@ def __dir__() -> List[str]:
     return sorted(set(globals()) | set(__all__))
 
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AnalysisRequest",
@@ -171,10 +166,8 @@ __all__ = [
     "DatasetStats",
     "measure_query",
     "study_corpus",
-    "build_query_log_parallel",
     "build_query_logs_parallel",
     "measure_chunk",
-    "merge_shards",
     "merge_studies",
     "study_corpus_parallel",
     "IndexedEngine",

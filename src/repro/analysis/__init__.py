@@ -32,12 +32,8 @@ from .operators import (
     classify_operators,
 )
 from .parallel import (
-    build_query_log_parallel,
     build_query_logs_parallel,
-    iter_chunks,
     measure_chunk,
-    merge_shards,
-    merge_studies,
     study_corpus_parallel,
 )
 from .passes import (
@@ -113,12 +109,8 @@ __all__ = [
     "Operator",
     "OperatorClassification",
     "classify_operators",
-    "build_query_log_parallel",
     "build_query_logs_parallel",
-    "iter_chunks",
     "measure_chunk",
-    "merge_shards",
-    "merge_studies",
     "study_corpus_parallel",
     "PathClassification",
     "classify_path",

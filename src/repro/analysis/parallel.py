@@ -38,7 +38,7 @@ observe — there is no option to choose:
   :class:`~repro.api.AnalysisSession` keeps one), or a temporary one
   that lives for the call.
 
-The parallel runtime itself is built from four reusable pieces:
+The parallel runtime itself is built from three reusable pieces:
 
 * :class:`WorkerPool` — a persistent process pool created once (per
   :class:`~repro.api.AnalysisSession`) and reused across datasets,
@@ -56,14 +56,12 @@ The parallel runtime itself is built from four reusable pieces:
   the chunk's AST object graphs), with the parent counting exactly how
   many bytes each chunk shipped (:class:`TransportStats`, surfaced as
   ``PassProfile`` counters).
-* pairwise tree merge (:func:`tree_merge`) — partial results reduce
-  through an online binary-counter tree instead of one long left fold.
-  Every accumulator merge here is associative, so the merge tree's
-  shape can never change a byte (property-tested).
 
-Chunks are always merged in stream order, so both executors reproduce
-the one-pass result exactly — including counter key order, which
-breaks ties in table rendering.
+Chunks are always folded into one accumulator in stream order, so both
+executors reproduce the one-pass result exactly — including counter key
+order, which breaks ties in table rendering.  Every merge costs in
+proportion to its right operand (the received chunk) or to bounded
+state, so the fold touches each item once.
 """
 
 from __future__ import annotations
@@ -106,18 +104,11 @@ __all__ = [
     "TransportStats",
     "WorkerPool",
     "adaptive_chunk_sizes",
-    "build_query_log_parallel",
     "build_query_logs_parallel",
-    "default_chunk_size",
-    "imap_bounded",
-    "iter_chunks",
     "iter_scheduled_chunks",
     "measure_chunk",
-    "merge_shards",
-    "merge_studies",
     "resolve_workers",
     "study_corpus_parallel",
-    "tree_merge",
 ]
 
 _Payload = TypeVar("_Payload")
@@ -166,11 +157,6 @@ def resolve_workers(workers: Union[int, str, None]) -> int:
     return workers
 
 
-def default_chunk_size(n_items: int, workers: int) -> int:
-    """Deterministic chunk size: ~`_CHUNKS_PER_WORKER` chunks per worker."""
-    return max(1, -(-n_items // (workers * _CHUNKS_PER_WORKER)))
-
-
 def adaptive_chunk_sizes(
     total: Optional[int], workers: int
 ) -> Iterator[int]:
@@ -188,8 +174,7 @@ def adaptive_chunk_sizes(
     ``workers == 1`` yields the whole (sized) input as one chunk: the
     driver's in-process executor then runs it with zero chunking or
     merge overhead.  The schedule depends only on ``(total, workers)``,
-    never on timing, so chunk boundaries — and therefore merge trees —
-    are deterministic.
+    never on timing, so chunk boundaries are deterministic.
     """
     if workers == 1 and total is not None:
         size = max(1, total)
@@ -219,26 +204,16 @@ def _chunk_schedule(
     return adaptive_chunk_sizes(total, workers)
 
 
-def iter_chunks(items: Iterable[_Payload], chunk_size: int) -> Iterator[List[_Payload]]:
-    """Lazily split *items* into contiguous chunks of at most *chunk_size*.
-
-    Accepts any iterable — including one-shot iterators — and never
-    holds more than one chunk of it.  ``chunk_size`` is validated
-    eagerly so misuse fails at the call site, not mid-stream.
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return iter_scheduled_chunks(items, repeat(chunk_size))
-
-
 def iter_scheduled_chunks(
     items: Iterable[_Payload], sizes: Iterator[int]
 ) -> Iterator[List[_Payload]]:
-    """Like :func:`iter_chunks`, but each chunk's size comes from *sizes*.
+    """Lazily split *items* into contiguous chunks sized by *sizes*.
 
-    *sizes* may be shared between several chunkers (the drivers share
-    one schedule across all datasets of a corpus, so the geometric ramp
-    happens once per run, not once per dataset).
+    Accepts any iterable — including one-shot iterators — and never
+    holds more than one chunk of it.  *sizes* may be shared between
+    several chunkers (the drivers share one schedule across all datasets
+    of a corpus, so the geometric ramp happens once per run, not once
+    per dataset).
     """
     iterator = iter(items)
     for size in sizes:
@@ -547,38 +522,6 @@ def _fork_context():
         return None
 
 
-def imap_bounded(
-    worker_fn: Callable[[_Payload], _Result],
-    payloads: Iterable[_Payload],
-    workers: int,
-    *,
-    max_inflight: Optional[int] = None,
-    pool: Optional[WorkerPool] = None,
-) -> Iterator[_Result]:
-    """Apply *worker_fn* to *payloads*, yielding results in input order.
-
-    The streaming heart of this module.  *payloads* may be a one-shot
-    iterator; it is consumed with backpressure — at most *max_inflight*
-    (default ``workers × _CHUNKS_PER_WORKER``) payloads are pulled
-    ahead of the consumer, so peak memory is bounded by the window, not
-    the stream.  Results are yielded strictly in submission order,
-    which is what makes merge-in-stream-order reproducible.
-
-    ``workers=1`` — or a stream that turns out to hold at most one
-    payload — runs *worker_fn* in-process: same order, fully lazy, no
-    :mod:`multiprocessing` and no pickling.  Otherwise payloads go to
-    *pool*, or to a temporary :class:`WorkerPool` that lives as long
-    as the returned iterator.
-
-    *workers* is validated eagerly, at the call site rather than from
-    inside the pool mid-stream (callers resolve 0/None via
-    :func:`resolve_workers` first).
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return _execute(worker_fn, worker_fn, payloads, workers, max_inflight, pool)
-
-
 def _execute(
     local_fn: Callable[[_Payload], _Result],
     pool_fn: Callable[[_Payload], object],
@@ -589,9 +532,14 @@ def _execute(
 ) -> Iterator[object]:
     """The two executors: *local_fn* in-process, or *pool_fn* on a pool.
 
-    In-process when ``workers == 1`` or *payloads* turns out to hold at
-    most one item; on *pool* (or a temporary :class:`WorkerPool`)
-    otherwise, with at most *max_inflight* payloads in flight.
+    Results are yielded strictly in input order, which is what makes
+    the stream-order fold reproducible.  In-process when
+    ``workers == 1`` or *payloads* turns out to hold at most one item:
+    fully lazy, no :mod:`multiprocessing` and no pickling.  Otherwise on
+    *pool* (or a temporary :class:`WorkerPool` that lives as long as
+    the returned iterator), pulling at most *max_inflight* (default
+    ``workers × _CHUNKS_PER_WORKER``) payloads ahead of the consumer, so
+    peak memory is bounded by that window, not by the stream.
     """
     iterator = iter(payloads)
     if workers > 1:
@@ -613,87 +561,6 @@ def _execute(
             return
     for payload in iterator:
         yield local_fn(payload)
-
-
-# ---------------------------------------------------------------------------
-# Merging
-# ---------------------------------------------------------------------------
-
-
-class _TreeMerger:
-    """Online pairwise reduction that preserves stream adjacency.
-
-    A binary-counter tree: each pushed item sits at level 0; whenever
-    two adjacent subtrees of equal level exist, the *earlier* one
-    absorbs the later (``merge_fn(earlier, later)``), keeping strict
-    stream order inside every partial.  At most O(log n) partials are
-    alive at once, and every item participates in at most O(log n)
-    merges — no accumulator is re-scanned n times the way a left fold's
-    left operand is.  Because every merge here is associative (the
-    accumulators' contract, property-tested), the tree's shape cannot
-    change a byte of the result.
-    """
-
-    __slots__ = ("_merge_fn", "_stack")
-
-    def __init__(self, merge_fn: Callable[[_Result, _Result], _Result]) -> None:
-        self._merge_fn = merge_fn
-        #: (level, value) pairs in stream order, levels strictly
-        #: decreasing — exactly the set bits of the pushed-item count.
-        self._stack: List[Tuple[int, _Result]] = []
-
-    def push(self, item: _Result) -> None:
-        level = 0
-        while self._stack and self._stack[-1][0] == level:
-            _, earlier = self._stack.pop()
-            item = self._merge_fn(earlier, item)
-            level += 1
-        self._stack.append((level, item))
-
-    def result(self) -> Optional[_Result]:
-        """Fold the remaining partials (oldest first); ``None`` if empty."""
-        if not self._stack:
-            return None
-        merged: Optional[_Result] = None
-        for _, value in self._stack:
-            merged = value if merged is None else self._merge_fn(merged, value)
-        self._stack = []
-        return merged
-
-
-def tree_merge(
-    items: Iterable[_Result], merge_fn: Callable[[_Result, _Result], _Result]
-) -> Optional[_Result]:
-    """Reduce *items* pairwise (binary-counter tree), adjacency preserved.
-
-    Equivalent to a left fold for any associative *merge_fn* — which
-    every accumulator merge in this package is — while touching each
-    partial only O(log n) times.  Returns ``None`` for an empty input.
-    """
-    merger: _TreeMerger = _TreeMerger(merge_fn)
-    for item in items:
-        merger.push(item)
-    return merger.result()
-
-
-def _merge_pair(left, right):
-    """The in-place accumulator merge as a two-argument function."""
-    return left.merge(right)
-
-
-def merge_shards(shards: Iterable[LogShard]) -> LogShard:
-    """Merge pipeline shards in stream order (pairwise tree)."""
-    merged = tree_merge(shards, _merge_pair)
-    return merged if merged is not None else LogShard()
-
-
-def merge_studies(studies: Iterable[CorpusStudy], dedup: bool = True) -> CorpusStudy:
-    """Merge partial studies in stream order (pairwise tree)."""
-    merged = CorpusStudy(dedup=dedup)
-    tail = tree_merge(studies, _merge_pair)
-    if tail is not None:
-        merged.merge(tail)
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -736,11 +603,11 @@ def build_query_logs_parallel(
     be lists *or* lazy iterators (e.g.
     :func:`repro.logs.sources.iter_entries`); either way the stream is
     chunked lazily (adaptive sizes unless *chunk_size* pins one) and
-    consumed with bounded in-flight chunks.  Per dataset, shards reduce
-    through a pairwise merge tree in stream order: the result is
-    identical to :func:`~repro.logs.pipeline.process_entries` over the
-    whole stream.  *transport* (when given)
-    receives the shipped-bytes and merge-time accounting.
+    consumed with bounded in-flight chunks.  Per dataset, shards fold
+    into one :class:`~repro.logs.pipeline.LogShard` in stream order: the
+    result is identical to :func:`~repro.logs.pipeline.process_entries`
+    over the whole stream.  *transport* (when given) receives the
+    shipped-bytes and merge-time accounting.
 
     *options* selects sequence passes (``metrics`` containing
     ``streaks``): each chunk then also feeds its raw texts, in order,
@@ -804,15 +671,13 @@ def build_query_logs_parallel(
         name, texts, prefixes, chunk_options, lookahead = payload
         return _ingest_scored(name, texts, prefixes, chunk_options, lookahead, cache)
 
-    mergers: Dict[str, _TreeMerger] = {
-        name: _TreeMerger(_merge_pair) for name in corpora
-    }
+    merged: Dict[str, LogShard] = {name: LogShard() for name in corpora}
     for result in _execute(
         parse_local, _pool_parse_chunk, payloads(), workers, pool=pool
     ):
         name, shard, counter_delta = _receive(result, transport)
         started = perf_counter()
-        mergers[name].push(shard)
+        merged[name].merge(shard)
         if transport is not None:
             transport.merge_seconds += perf_counter() - started
         if counter_delta is not None:
@@ -820,13 +685,6 @@ def build_query_logs_parallel(
             # per-process counters; without this, instrumentation done on
             # pool workers would be silently dropped from sharded runs.
             SIMILARITY_COUNTERS.add(counter_delta)
-    merged: Dict[str, LogShard] = {}
-    started = perf_counter()
-    for name, merger in mergers.items():
-        shard = merger.result()
-        merged[name] = shard if shard is not None else LogShard()
-    if transport is not None:
-        transport.merge_seconds += perf_counter() - started
     if options is not None:
         # An empty corpus yields zero chunks and therefore no worker-built
         # accumulators; selected sequence metrics must still come back as
@@ -837,30 +695,6 @@ def build_query_logs_parallel(
                     sequence_pass.name, sequence_pass.start(options)
                 )
     return {name: shard.to_query_log(name) for name, shard in merged.items()}
-
-
-def build_query_log_parallel(
-    name: str,
-    raw_queries: Iterable[str],
-    extra_prefixes: Optional[Dict[str, str]] = None,
-    *,
-    workers: Union[int, str, None] = None,
-    chunk_size: Optional[int] = None,
-    options: Optional[AnalysisOptions] = None,
-    pool: Optional[WorkerPool] = None,
-    transport: Optional[TransportStats] = None,
-) -> QueryLog:
-    """:func:`build_query_logs_parallel` over a single dataset."""
-    logs = build_query_logs_parallel(
-        {name: raw_queries},
-        extra_prefixes,
-        workers=workers,
-        chunk_size=chunk_size,
-        options=options,
-        pool=pool,
-        transport=transport,
-    )
-    return logs[name]
 
 
 def study_corpus_parallel(
@@ -880,8 +714,7 @@ def study_corpus_parallel(
     counters only, so merging never double-counts the pipeline totals.
     Chunks are produced lazily and kept in flight in bounded number, so
     even a huge materialized log is never copied wholesale into a
-    payload list.  Partial studies reduce through a pairwise merge tree
-    in stream order.
+    payload list.  Partial studies fold into the result in stream order.
 
     In-process runs measure every chunk against one run-local structure
     cache.  Pool runs ship query chunks in and get compact pre-reduced
@@ -925,19 +758,12 @@ def study_corpus_parallel(
             cache=run_cache,
         )
 
-    merger = _TreeMerger(_merge_pair)
     for result in _execute(
         measure_local, _pool_measure_chunk, chunk_payloads(), workers, pool=pool
     ):
-        shard = _receive(result, transport)
+        partial = _receive(result, transport)
         started = perf_counter()
-        merger.push(shard)
+        study.merge(partial)
         if transport is not None:
             transport.merge_seconds += perf_counter() - started
-    started = perf_counter()
-    tail = merger.result()
-    if tail is not None:
-        study.merge(tail)
-    if transport is not None:
-        transport.merge_seconds += perf_counter() - started
     return study

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -50,7 +51,12 @@ from .api import (
     load_study,
     save_study,
 )
-from .exceptions import StudySnapshotError, WarehouseError, WatchStateError
+from .exceptions import (
+    StudySnapshotError,
+    WarehouseError,
+    WatchStateError,
+    WorkloadError,
+)
 from .logs import encode_access_log_line
 from .reporting import (
     get_reporter,
@@ -201,6 +207,19 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
     from .workload import bib_schema, generate_graph, generate_workload
 
     schema = bib_schema()
+    workloads = []
+    try:
+        # Every workload before any engine runs: a length the generator
+        # rejects (cycles need >= 3) fails at once, not minutes in.
+        for length in args.lengths:
+            for shape in ("chain", "cycle"):
+                workload = generate_workload(
+                    schema, shape, length, args.queries, seed=length
+                )
+                workloads.append((f"{shape}-W{length}", [q.text for q in workload]))
+    except WorkloadError as error:
+        print(f"figure3: {error}", file=sys.stderr)
+        return 2
     graph = generate_graph(schema, args.nodes, seed=args.seed)
     print(f"graph: {len(graph):,} triples")
     engines = {
@@ -208,16 +227,9 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
         "PG": NestedLoopEngine(graph, timeout=args.timeout),
     }
     results = []
-    for length in args.lengths:
-        for shape in ("chain", "cycle"):
-            workload = generate_workload(
-                schema, shape, length, args.queries, seed=length
-            )
-            texts = [q.text for q in workload]
-            for engine in engines.values():
-                results.append(
-                    engine.run_workload(texts, label=f"{shape}-W{length}")
-                )
+    for label, texts in workloads:
+        for engine in engines.values():
+            results.append(engine.run_workload(texts, label=label))
     print(render_figure3(results))
     return 0
 
@@ -453,6 +465,15 @@ def _positive_int(value: str) -> int:
     number = int(value)
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return number
+
+
+def _positive_float(value: str) -> float:
+    number = float(value)
+    if not (0 < number < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {value}"
+        )
     return number
 
 
@@ -853,17 +874,17 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=_cmd_serve)
 
     corpus = commands.add_parser("corpus", help="generate the synthetic corpus")
-    corpus.add_argument("--scale", type=float, default=1e-5)
+    corpus.add_argument("--scale", type=_positive_float, default=1e-5)
     corpus.add_argument("--seed", type=int, default=0)
     corpus.add_argument("--out", default="corpus-out")
     corpus.set_defaults(func=_cmd_corpus)
 
     figure3 = commands.add_parser("figure3", help="chain vs cycle engine experiment")
-    figure3.add_argument("--nodes", type=int, default=1500)
-    figure3.add_argument("--timeout", type=float, default=2.0)
-    figure3.add_argument("--queries", type=int, default=5)
+    figure3.add_argument("--nodes", type=_positive_int, default=1500)
+    figure3.add_argument("--timeout", type=_positive_float, default=2.0)
+    figure3.add_argument("--queries", type=_positive_int, default=5)
     figure3.add_argument(
-        "--lengths", type=int, nargs="+", default=[3, 4, 5, 6]
+        "--lengths", type=_positive_int, nargs="+", default=[3, 4, 5, 6]
     )
     figure3.add_argument("--seed", type=int, default=1)
     figure3.set_defaults(func=_cmd_figure3)

@@ -248,8 +248,10 @@ class TestCommands:
 
 
 class TestArgumentValidation:
-    """`--workers <= 0` and `--chunk-size <= 0` must die with a clear
-    argparse error (exit code 2), not a crash or a silent hang."""
+    """Out-of-range numeric flags (`--workers <= 0`, `--chunk-size <= 0`,
+    a non-positive `figure3` size or timeout, a non-positive or
+    non-finite `corpus --scale`) must die with a clear argparse error
+    (exit code 2), not a crash, a silent hang or nonsense output."""
 
     @pytest.mark.parametrize("value", ["0", "-1", "-4"])
     def test_rejects_nonpositive_workers(self, query_file, value, capsys):
@@ -264,6 +266,35 @@ class TestArgumentValidation:
             main(["analyze", "--chunk-size", value, str(query_file)])
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--nodes", "-5"), ("--queries", "-1"), ("--lengths", "-2"),
+         ("--timeout", "-1")],
+    )
+    def test_figure3_rejects_nonpositive_sizes(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure3", flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_figure3_rejects_short_cycles_before_running(self, capsys):
+        assert main(["figure3", "--nodes", "150", "--lengths", "3", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "cycle length" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_corpus_rejects_bad_scale(self, tmp_path, value, capsys):
+        out_dir = tmp_path / "corpus"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus", "--scale", value, "--out", str(out_dir)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--scale" in err and "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_rejects_non_integer_workers(self, query_file, capsys):
         with pytest.raises(SystemExit) as excinfo:

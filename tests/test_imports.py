@@ -62,3 +62,12 @@ def test_layer_packages_are_root_attributes():
 def test_unknown_root_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(repro, "no_such_name")
+
+
+def test_one_merge_studies():
+    import repro.analysis
+    import repro.api
+
+    assert repro.merge_studies is repro.api.merge_studies
+    assert not hasattr(repro.analysis, "merge_studies")
+    assert not hasattr(repro.analysis.parallel, "merge_studies")

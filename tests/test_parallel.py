@@ -7,20 +7,17 @@ counters, histograms, fragment counts, and the rendered report bytes.
 """
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.parallel import (
-    build_query_log_parallel,
     build_query_logs_parallel,
-    default_chunk_size,
-    iter_chunks,
+    iter_scheduled_chunks,
     measure_chunk,
-    merge_shards,
-    merge_studies,
     study_corpus_parallel,
 )
 from repro.analysis.study import (
@@ -61,6 +58,11 @@ def split_at(items, cuts):
     return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
+def fold_shards(shards):
+    """The ingestion driver's stream-order fold over pipeline shards."""
+    return reduce(LogShard.merge, shards, LogShard())
+
+
 def assert_logs_equal(a, b):
     assert a.summary_row() == b.summary_row()
     assert [(p.text, p.count) for p in a.parsed] == [
@@ -76,7 +78,7 @@ def assert_logs_equal(a, b):
 class TestLogShardMerge:
     def test_merge_identity(self):
         shard = process_entries(["ASK { ?s ?p ?o }", "junk {"])
-        merged = merge_shards([shard, LogShard()])
+        merged = shard.merge(LogShard())
         assert merged.total == 2 and merged.valid == 1
 
     def test_two_phase_dedup_across_shards(self):
@@ -84,7 +86,7 @@ class TestLogShardMerge:
         # merged text→count maps see the full multiplicity.
         left = process_entries(["ASK { ?s ?p ?o }", "SELECT * WHERE { ?a ?b ?c }"])
         right = process_entries(["ASK { ?s ?p ?o }"])
-        log = merge_shards([left, right]).to_query_log("t")
+        log = left.merge(right).to_query_log("t")
         assert log.total == 3 and log.valid == 3 and log.unique == 2
         assert [p.count for p in log.parsed] == [2, 1]
 
@@ -93,7 +95,7 @@ class TestLogShardMerge:
             process_entries(["ASK { ?b ?p ?o }"]),
             process_entries(["ASK { ?a ?p ?o }", "ASK { ?b ?p ?o }"]),
         ]
-        log = merge_shards(shards).to_query_log("t")
+        log = fold_shards(shards).to_query_log("t")
         assert [p.text for p in log.parsed] == [
             "ASK { ?b ?p ?o }",
             "ASK { ?a ?p ?o }",
@@ -105,15 +107,13 @@ class TestLogShardMerge:
         for name, entries in corpus_entries().items():
             shards = [process_entries(s) for s in split_at(entries, cuts)]
             assert_logs_equal(
-                merge_shards(shards).to_query_log(name), corpus_logs()[name]
+                fold_shards(shards).to_query_log(name), corpus_logs()[name]
             )
 
     def test_parallel_build_matches_serial(self):
         for name, entries in corpus_entries().items():
-            assert_logs_equal(
-                build_query_log_parallel(name, entries, workers=2, chunk_size=7),
-                corpus_logs()[name],
-            )
+            logs = build_query_logs_parallel({name: entries}, workers=2, chunk_size=7)
+            assert_logs_equal(logs[name], corpus_logs()[name])
 
     def test_batched_corpus_build_matches_serial(self):
         # All datasets through one pool, including with a chunk size
@@ -281,8 +281,10 @@ class TestMeasureQuery:
     def test_fold_equals_study_corpus(self):
         name = "DBpedia14"
         log = corpus_logs()[name]
-        folded = merge_studies(
-            measure_query(p, name) for p in log.unique_queries()
+        folded = reduce(
+            CorpusStudy.merge,
+            (measure_query(p, name) for p in log.unique_queries()),
+            CorpusStudy(),
         )
         folded.datasets[name].total = log.total
         folded.datasets[name].valid = log.valid
@@ -343,26 +345,24 @@ class TestZeroCountMerge:
 
 class TestChunking:
     def test_iter_chunks_partitions(self):
-        assert list(iter_chunks(list(range(7)), 3)) == [[0, 1, 2], [3, 4, 5], [6]]
-        assert list(iter_chunks([], 3)) == []
+        chunks = iter_scheduled_chunks(list(range(7)), repeat(3))
+        assert list(chunks) == [[0, 1, 2], [3, 4, 5], [6]]
+        assert list(iter_scheduled_chunks([], repeat(3))) == []
 
     def test_iter_chunks_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            list(iter_chunks([1], 0))
-
-    def test_imap_bounded_validates_workers_eagerly(self):
-        from repro.analysis.parallel import imap_bounded
-
-        with pytest.raises(ValueError):
-            imap_bounded(len, iter([[1], [2]]), 0)
+        with pytest.raises(ValueError, match="chunk_size"):
+            study_corpus_parallel(corpus_logs(), chunk_size=0)
 
     def test_iter_chunks_validates_eagerly(self):
         # Misuse fails at the call site, before any stream is consumed.
-        with pytest.raises(ValueError):
-            iter_chunks(iter([1]), -2)
+        stream = iter(["ASK { ?s ?p ?o }"])
+        with pytest.raises(ValueError, match="chunk_size"):
+            build_query_logs_parallel({"d": stream}, chunk_size=-2)
+        assert next(stream) == "ASK { ?s ?p ?o }"
 
     def test_iter_chunks_accepts_one_shot_iterators(self):
-        assert list(iter_chunks(iter(range(5)), 2)) == [[0, 1], [2, 3], [4]]
+        chunks = iter_scheduled_chunks(iter(range(5)), repeat(2))
+        assert list(chunks) == [[0, 1], [2, 3], [4]]
 
     def test_iter_chunks_is_lazy(self):
         consumed = []
@@ -372,15 +372,7 @@ class TestChunking:
                 consumed.append(n)
                 yield n
 
-        chunks = iter_chunks(source(), 10)
+        chunks = iter_scheduled_chunks(source(), repeat(10))
         assert next(chunks) == list(range(10))
         # One chunk pulled, one chunk consumed: no read-ahead.
         assert len(consumed) == 10
-
-    def test_default_chunk_size(self):
-        assert default_chunk_size(0, 4) == 1
-        assert default_chunk_size(100, 1) == 25
-        # ~4 chunks per worker
-        n, workers = 1000, 4
-        size = default_chunk_size(n, workers)
-        assert -(-n // size) == workers * 4

@@ -1,12 +1,12 @@
-"""The parallel runtime: pools, adaptive chunking, transport, tree merge.
+"""The parallel runtime: pools, adaptive chunking, transport, merging.
 
 Invariant 10 under test (docs/ARCHITECTURE.md): the shape of the merge
-tree — one long left fold, the binary-counter pairwise reduction, or
-any arbitrary contiguous grouping — never changes the result, byte for
-byte.  Plus the runtime mechanics: persistent pools are created lazily,
-reused across runs of one :class:`~repro.api.AnalysisSession`, and
-produce the same bytes as fresh-pool and serial runs; the adaptive
-chunk schedule is deterministic; ``workers="auto"`` resolves and
+tree — the drivers' stream-order fold or any arbitrary contiguous
+grouping — never changes the result, byte for byte.  Plus the runtime
+mechanics: persistent pools are created lazily, reused across runs of
+one :class:`~repro.api.AnalysisSession`, and produce the same bytes as
+fresh-pool and serial runs; the adaptive chunk schedule is
+deterministic; ``workers="auto"`` resolves and
 validates everywhere; transport counters ride the pass profile and its
 snapshot codec stays backward compatible.
 """
@@ -22,21 +22,20 @@ from repro.analysis.parallel import (
     DEFAULT_STREAM_CHUNK_SIZE,
     TransportStats,
     WorkerPool,
+    _execute,
     adaptive_chunk_sizes,
-    imap_bounded,
+    build_query_logs_parallel,
     iter_scheduled_chunks,
     measure_chunk,
-    merge_shards,
-    merge_studies,
     resolve_workers,
-    tree_merge,
+    study_corpus_parallel,
 )
 from repro.analysis.passes import PassProfile
 from repro.analysis.streaks import StreakAccumulator
 from repro.analysis.study import study_corpus
 from repro.api import AnalysisRequest, AnalysisSession
 from repro.cli import main
-from repro.logs import LogShard, build_query_log, process_entries
+from repro.logs import build_query_log, process_entries
 from repro.reporting import render_study
 from repro.reporting.tables import render_pass_profile
 from repro.workload import generate_corpus, generate_day_log
@@ -60,8 +59,17 @@ def day_log():
     return generate_day_log(300, session_rate=0.35, seed=9)
 
 
-def fold_merge(items, merge_fn):
-    return reduce(merge_fn, items)
+def fold_merge(items):
+    """The drivers' stream-order fold: each item merged into the first."""
+    return reduce(lambda a, b: a.merge(b), items)
+
+
+def grouped_merge(items, cuts):
+    """Fold contiguous groups cut at *cuts* first, then fold the groups."""
+    bounds = sorted({0, len(items), *[min(c, len(items)) for c in cuts]})
+    return fold_merge(
+        [fold_merge(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -70,25 +78,21 @@ def fold_merge(items, merge_fn):
 
 
 class TestTreeMergeInvariance:
-    def test_tree_merge_empty_and_single(self):
-        assert tree_merge([], lambda a, b: a.merge(b)) is None
-        acc = StreakAccumulator(window=5)
-        assert tree_merge([acc], lambda a, b: a.merge(b)) is acc
-
     def test_merge_shards_empty_gives_empty_shard(self):
-        merged = merge_shards([])
-        assert merged.total == 0 and merged.valid == 0
+        merged = build_query_logs_parallel({"q": []}, workers=2)["q"]
+        assert merged.total == 0 and merged.valid == 0 and not merged.parsed
 
     def test_merge_studies_empty_explicit_dedup(self):
-        merged = merge_studies([], dedup=False)
+        merged = study_corpus_parallel({}, dedup=False, workers=2)
         assert merged.dedup is False and not merged.datasets
 
     @settings(max_examples=40, deadline=None)
     @given(
         picks=st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_size=60),
         cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=6),
+        group_cuts=st.lists(st.integers(min_value=1, max_value=6), max_size=3),
     )
-    def test_streak_tree_equals_fold_equals_serial(self, picks, cuts):
+    def test_streak_tree_equals_fold_equals_serial(self, picks, cuts, group_cuts):
         texts = [QUERIES[i] for i in picks]
         bounds = sorted({0, len(texts), *[min(c, len(texts)) for c in cuts]})
         chunks = [
@@ -107,10 +111,10 @@ class TestTreeMergeInvariance:
         serial = StreakAccumulator(window=7)
         for text in texts:
             serial.push(text)
-        tree = tree_merge(accumulators(), lambda a, b: a.merge(b))
-        fold = fold_merge(accumulators(), lambda a, b: a.merge(b))
-        assert tree == serial
+        fold = fold_merge(accumulators())
+        tree = grouped_merge(accumulators(), group_cuts)
         assert fold == serial
+        assert tree == serial
         assert tree.to_dict() == serial.to_dict()
 
     @settings(max_examples=15, deadline=None)
@@ -119,7 +123,7 @@ class TestTreeMergeInvariance:
         group_cuts=st.lists(st.integers(min_value=1, max_value=30), max_size=4),
     )
     def test_study_merge_grouping_invariance(self, chunk_size, group_cuts):
-        """Arbitrary contiguous grouping ≡ pairwise tree ≡ serial study."""
+        """Arbitrary contiguous grouping ≡ stream-order fold ≡ serial study."""
         name, entries = next(iter(corpus_entries().items()))
         log = build_query_log(name, entries)
         serial = study_corpus({name: log}, dedup=True)
@@ -131,32 +135,27 @@ class TestTreeMergeInvariance:
                 for lo in range(0, len(queries), chunk_size)
             ]
 
-        def seeded(merged_partials):
+        def seeded(*merged_partials):
             from repro.analysis.study import CorpusStudy, DatasetStats
 
             study = CorpusStudy(dedup=True)
             study.datasets[name] = DatasetStats(
                 name=name, total=log.total, valid=log.valid, unique=log.unique
             )
-            if merged_partials is not None:
-                study.merge(merged_partials)
+            for partial in merged_partials:
+                study.merge(partial)
             return study
 
-        tree = seeded(tree_merge(partials(), lambda a, b: a.merge(b)))
+        # The driver's fold: every partial straight into the seeded study.
+        fold = seeded(*partials())
         # Arbitrary two-level tree: fold random contiguous groups first.
         parts = partials()
-        bounds = sorted({0, len(parts), *[min(c, len(parts)) for c in group_cuts]})
-        groups = [
-            fold_merge(parts[lo:hi], lambda a, b: a.merge(b))
-            for lo, hi in zip(bounds, bounds[1:])
-            if parts[lo:hi]
-        ]
-        grouped = seeded(tree_merge(groups, lambda a, b: a.merge(b)) if groups else None)
+        grouped = seeded(grouped_merge(parts, group_cuts)) if parts else seeded()
 
         logs = {name: log}
-        assert render_study(tree, logs) == render_study(serial, logs)
+        assert render_study(fold, logs) == render_study(serial, logs)
         assert render_study(grouped, logs) == render_study(serial, logs)
-        assert tree == serial
+        assert fold == serial
         assert grouped == serial
 
 
@@ -228,7 +227,7 @@ class TestWorkerPool:
     def test_context_manager_runs_work(self):
         with WorkerPool(2) as pool:
             results = list(
-                imap_bounded(len, [[1], [2, 3], [4], [5, 6, 7]], pool.workers, pool=pool)
+                _execute(len, len, [[1], [2, 3], [4], [5, 6, 7]], pool.workers, pool=pool)
             )
             assert results == [1, 2, 1, 3]
             assert pool.started
@@ -236,7 +235,7 @@ class TestWorkerPool:
 
     def test_single_payload_collapses_without_processes(self):
         with WorkerPool(4) as pool:
-            assert list(imap_bounded(len, [[1, 2]], pool.workers, pool=pool)) == [2]
+            assert list(_execute(len, len, [[1, 2]], pool.workers, pool=pool)) == [2]
             assert not pool.started  # <=1 payload ran in-process
 
 
@@ -409,11 +408,9 @@ class TestTransportCounters:
         texts = [QUERIES[i % len(QUERIES)] for i in range(400)]
         transport = TransportStats()
         with WorkerPool(2) as pool:
-            from repro.analysis.parallel import build_query_log_parallel
-
-            pooled = build_query_log_parallel(
-                "q", texts, pool=pool, transport=transport
-            )
+            pooled = build_query_logs_parallel(
+                {"q": texts}, pool=pool, transport=transport
+            )["q"]
         serial_log = build_query_log("q", texts)
         assert pooled.summary_row() == serial_log.summary_row()
         assert transport.chunks_shipped > 0
@@ -443,12 +440,14 @@ class TestPoolDriversByteIdentity:
         assert pooled == serial
 
     def test_shard_merge_order_matches_stream(self):
-        shards = [
-            process_entries([text]) for text in QUERIES
+        texts = QUERIES[::-1] + QUERIES
+        with WorkerPool(2) as pool:
+            merged = build_query_logs_parallel(
+                {"q": texts}, pool=pool, chunk_size=1
+            )["q"]
+            assert pool.started
+        expected = process_entries(texts).to_query_log("q")
+        assert merged.summary_row() == expected.summary_row()
+        assert [(p.text, p.count) for p in merged.parsed] == [
+            (p.text, p.count) for p in expected.parsed
         ]
-        merged = merge_shards(shards)
-        expected = process_entries(QUERIES)
-        assert merged.to_query_log("q").summary_row() == expected.to_query_log(
-            "q"
-        ).summary_row()
-        assert list(merged.order) == list(expected.order)

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from loggen import write_synthetic_log
 from repro.analysis.parallel import (
+    _execute,
     build_query_logs_parallel,
-    imap_bounded,
     study_corpus_parallel,
 )
 from repro.analysis.study import study_corpus
@@ -156,8 +156,10 @@ class TestStreamedEqualsMaterializedEqualsSerial:
 
 
 class TestImapBounded:
+    """The bounded in-order executor both drivers run (``_execute``)."""
+
     def test_preserves_input_order(self):
-        results = list(imap_bounded(_square, range(50), workers=3, max_inflight=4))
+        results = list(_execute(_wrong_executor, _square, range(50), 3, max_inflight=4))
         assert results == [n * n for n in range(50)]
 
     def test_serial_path_is_lazy(self):
@@ -168,7 +170,7 @@ class TestImapBounded:
                 consumed.append(n)
                 yield n
 
-        stream = imap_bounded(_square, source(), workers=1)
+        stream = _execute(_square, _wrong_executor, source(), 1)
         assert next(stream) == 0
         # The serial path pulls one payload per result: no read-ahead.
         assert len(consumed) == 1
@@ -181,7 +183,7 @@ class TestImapBounded:
                 consumed.append(n)
                 yield n
 
-        stream = imap_bounded(_square, source(), workers=2, max_inflight=4)
+        stream = _execute(_wrong_executor, _square, source(), 2, max_inflight=4)
         assert next(stream) == 0
         high_water = len(consumed)
         # Backpressure: far less than the whole stream is in flight.
@@ -189,11 +191,11 @@ class TestImapBounded:
         assert list(stream) == [n * n for n in range(1, 64)]
 
     def test_single_payload_skips_pool(self):
-        assert list(imap_bounded(_square, [7], workers=4)) == [49]
+        assert list(_execute(_square, _wrong_executor, [7], 4)) == [49]
 
     def test_propagates_worker_exception(self):
         with pytest.raises(ZeroDivisionError):
-            list(imap_bounded(_reciprocal, [1, 0], workers=2))
+            list(_execute(_wrong_executor, _reciprocal, [1, 0], 2))
 
 
 def _square(n):
@@ -202,6 +204,10 @@ def _square(n):
 
 def _reciprocal(n):
     return 1 // n
+
+
+def _wrong_executor(n):
+    raise AssertionError("ran on the wrong executor")
 
 
 class TestCliStreamGzip:
