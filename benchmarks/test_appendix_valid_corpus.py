@@ -14,7 +14,7 @@ from __future__ import annotations
 from _bench_utils import banner
 
 from repro.analysis.study import study_corpus
-from repro.reporting import render_table2, render_table3
+from repro.reporting import render_text, table2_section, table3_section
 
 
 def test_appendix_valid_corpus(benchmark, corpus_logs, corpus_study):
@@ -23,9 +23,9 @@ def test_appendix_valid_corpus(benchmark, corpus_logs, corpus_study):
     )
 
     banner("Appendix: Valid corpus (Tables 7-8 analogues)")
-    print(render_table2(valid_study, title="Table 7"))
+    print(render_text(table2_section(valid_study, title="Table 7")))
     print()
-    print(render_table3(valid_study, title="Table 8"))
+    print(render_text(table3_section(valid_study, title="Table 8")))
 
     # The valid corpus is strictly larger than the unique one.
     assert valid_study.query_count > corpus_study.query_count

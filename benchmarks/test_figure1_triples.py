@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from _bench_utils import banner
 
-from repro.reporting import render_figure1
+from repro.reporting import render_text, figure1_section
 
 #: Figure 1 bottom rows: (S/A %, Avg#T) per dataset.
 PAPER_FIGURE1 = {
@@ -40,7 +40,7 @@ def test_figure1_triple_histograms(benchmark, corpus_study):
     histograms = benchmark.pedantic(per_dataset_histograms, rounds=1, iterations=1)
 
     banner("Figure 1: triple-count distribution (measured vs paper)")
-    print(render_figure1(corpus_study))
+    print(render_text(figure1_section(corpus_study)))
     print()
     print(f"{'Dataset':<12} {'paper S/A':>10} {'meas S/A':>10} "
           f"{'paper Avg#T':>12} {'meas Avg#T':>11}")

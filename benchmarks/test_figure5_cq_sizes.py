@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from _bench_utils import banner
 
-from repro.reporting import render_figure5
+from repro.reporting import render_text, figure5_section
 
 PAPER_ONE_TRIPLE = {"CQ": 82.0, "CQF": 83.45, "CQOF": 75.52}
 
@@ -29,7 +29,7 @@ def test_figure5_cq_sizes(benchmark, corpus_study):
     shares = benchmark.pedantic(one_triple_shares, rounds=1, iterations=1)
 
     banner("Figure 5: CQ-like query sizes (measured vs paper)")
-    print(render_figure5(corpus_study))
+    print(render_text(figure5_section(corpus_study)))
     print()
     for fragment, paper_pct in PAPER_ONE_TRIPLE.items():
         print(

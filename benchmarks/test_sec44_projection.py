@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from _bench_utils import banner
 
-from repro.reporting import render_projection
+from repro.reporting import render_text, projection_section
 
 
 def test_projection_and_subqueries(benchmark, corpus_study):
@@ -20,7 +20,7 @@ def test_projection_and_subqueries(benchmark, corpus_study):
     )
 
     banner("Sec 4.4: projection and subqueries (measured vs paper)")
-    print(render_projection(corpus_study))
+    print(render_text(projection_section(corpus_study)))
     print()
     low, high = bounds
     subquery_pct = 100.0 * corpus_study.subquery_count / max(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from _bench_utils import banner
 
-from repro.reporting import render_fragments
+from repro.reporting import render_text, fragments_section
 
 
 def test_fragment_classification(benchmark, corpus_study):
@@ -28,7 +28,7 @@ def test_fragment_classification(benchmark, corpus_study):
     shares = benchmark.pedantic(fragment_shares, rounds=1, iterations=1)
 
     banner("Sec 5.2: fragments (measured vs paper)")
-    print(render_fragments(corpus_study))
+    print(render_text(fragments_section(corpus_study)))
     print()
     paper = {
         "aof_of_sa": 74.83, "cq_of_aof": 54.58, "cqf_of_aof": 84.08,

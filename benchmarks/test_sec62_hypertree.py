@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from _bench_utils import banner
 
-from repro.reporting import render_hypertree
+from repro.reporting import render_text, hypertree_section
 
 
 def test_hypertree_widths(benchmark, corpus_study):
@@ -18,7 +18,7 @@ def test_hypertree_widths(benchmark, corpus_study):
     )
 
     banner("Sec 6.2: hypertree widths (measured vs paper)")
-    print(render_hypertree(corpus_study))
+    print(render_text(hypertree_section(corpus_study)))
     print()
     print("Measured width histogram:", dict(sorted(widths.items())))
     print("Paper: width 1 everywhere except 86 queries (width 2) and 8 (width 3)")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from _bench_utils import BENCH_SCALE, banner
 
 from repro.logs import build_query_log
-from repro.reporting import render_table1
+from repro.reporting import render_text, table1_section
 
 #: Paper values (Total, Valid, Unique) for reference printing.
 PAPER_TABLE1 = {
@@ -32,7 +32,7 @@ PAPER_TABLE1 = {
 }
 
 
-def test_table1_pipeline(benchmark, corpus_entries):
+def test_table1_pipeline(benchmark, corpus_entries, corpus_study):
     def run_pipeline():
         return {
             name: build_query_log(name, entries)
@@ -42,7 +42,9 @@ def test_table1_pipeline(benchmark, corpus_entries):
     logs = benchmark.pedantic(run_pipeline, rounds=1, iterations=1)
 
     banner(f"Table 1 (measured @ scale {BENCH_SCALE:g}) vs paper")
-    print(render_table1(logs))
+    # corpus_study is built from the same entries, so its Table 1
+    # counters are these logs' counters.
+    print(render_text(table1_section(corpus_study)))
     print()
     print("Paper (scaled expectation in parentheses):")
     for name, (total, valid, unique) in PAPER_TABLE1.items():

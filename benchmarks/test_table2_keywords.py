@@ -10,7 +10,7 @@ from __future__ import annotations
 from _bench_utils import banner
 
 from repro.analysis.study import study_corpus
-from repro.reporting import render_table2
+from repro.reporting import render_text, table2_section
 
 #: (keyword, paper relative %) from Table 2.
 PAPER_TABLE2 = {
@@ -29,7 +29,7 @@ def test_table2_keywords(benchmark, corpus_logs):
     )
 
     banner("Table 2: keyword counts (measured vs paper)")
-    print(render_table2(study))
+    print(render_text(table2_section(study)))
     print()
     measured = {k: pct for k, _, pct in study.keyword_table()}
     print(f"{'Element':<12} {'paper':>8} {'measured':>10}")

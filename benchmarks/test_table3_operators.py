@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from _bench_utils import banner
 
-from repro.reporting import render_table3
+from repro.reporting import render_text, table3_section
 
 PAPER_TABLE3 = {
     "none": 33.49, "F": 19.04, "A": 7.49, "A, F": 6.25,
@@ -28,7 +28,7 @@ def test_table3_operator_sets(benchmark, corpus_study):
     )
 
     banner("Table 3: operator sets (measured vs paper)")
-    print(render_table3(corpus_study))
+    print(render_text(table3_section(corpus_study)))
     print()
     measured = {label: pct for label, _, pct in rows}
     print(f"{'Operator set':<14} {'paper':>8} {'measured':>10}")

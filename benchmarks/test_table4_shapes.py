@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from _bench_utils import banner
 
-from repro.reporting import render_table4
+from repro.reporting import render_text, table4_section
 
 #: Paper Table 4, CQ column (shape -> relative %).
 PAPER_TABLE4_CQ = {
@@ -29,7 +29,7 @@ def test_table4_shape_analysis(benchmark, corpus_study):
     )
 
     banner("Table 4: cumulative shape analysis (measured vs paper CQ column)")
-    print(render_table4(corpus_study))
+    print(render_text(table4_section(corpus_study)))
     print()
     measured_cq = {label: pct for label, _, pct in tables["CQ"]}
     print(f"{'Shape':<12} {'paper CQ':>9} {'measured':>10}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from _bench_utils import banner
 
-from repro.reporting import render_table5
+from repro.reporting import render_text, table5_section
 
 PAPER_TOP_TYPES = {
     "(a1|...|ak)*": 39.12,
@@ -28,7 +28,7 @@ def test_table5_property_paths(benchmark, corpus_study):
     rows = benchmark.pedantic(corpus_study.path_table, rounds=1, iterations=1)
 
     banner("Table 5: property paths (measured vs paper)")
-    print(render_table5(corpus_study))
+    print(render_text(table5_section(corpus_study)))
     print()
     measured = {name: pct for name, _, pct, _ in rows}
     print(f"{'Type':<16} {'paper':>8} {'measured':>10}")

@@ -30,7 +30,7 @@ from repro.analysis.parallel import (
     build_query_logs_parallel,
 )
 from repro.analysis.streaks import SIMILARITY_COUNTERS, StreakAccumulator
-from repro.reporting import render_table6
+from repro.reporting import render_table
 from repro.workload import DATASET_PROFILES, generate_day_log
 
 PAPER_TABLE6 = {
@@ -69,7 +69,13 @@ def test_table6_streaks(benchmark):
     histograms = benchmark.pedantic(detect_all, rounds=1, iterations=1)
 
     banner(f"Table 6: streak lengths ({DAY_LOG_SIZE}-query day logs)")
-    print(render_table6(histograms))
+    names = list(histograms)
+    print(render_table(
+        "Table 6: Length of streaks in single-day log files",
+        ("Streak length", *names),
+        [(bucket, *(f"{histograms[name][bucket]:,}" for name in names))
+         for bucket in histograms[names[0]]],
+    ))
     print()
     print("Paper (day logs of 273MiB/803MiB/1004MiB):")
     for bucket, values in PAPER_TABLE6.items():

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from repro import generate_day_log
 from repro.api import analyze_corpora
-from repro.reporting import render_table6_from_study
+from repro.reporting import render_text, table6_section
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
@@ -35,7 +35,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
 
     print("Detecting streaks (window=30, threshold 25%)…")
     result = analyze_corpora({"day-log": log}, metrics=("streaks",))
-    print(render_table6_from_study(result.study))
+    print(render_text(table6_section(result.study)))
 
     accumulator = result.study.datasets["day-log"].streaks
     print("(paper's longest at w=30 was 169)")

@@ -3,7 +3,7 @@ Logs" (Bonifati, Martens, Timm; VLDB 2017).
 
 The library has six layers:
 
-* :mod:`repro.rdf` — RDF terms, triples, indexed graph store, N-Triples;
+* :mod:`repro.rdf` — RDF terms, triples, indexed graph store;
 * :mod:`repro.sparql` — SPARQL 1.1 tokenizer, parser, AST, serializer;
 * :mod:`repro.engine` — query evaluation with two engine profiles
   (indexed vs nested-loop) for the paper's Figure 3 experiment;
@@ -130,7 +130,7 @@ def __dir__() -> List[str]:
     return sorted(set(globals()) | set(__all__))
 
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "AnalysisRequest",

@@ -130,10 +130,6 @@ class FragmentProfile:
     interface_width: Optional[int]  # None unless AOF and well-designed
     is_cqof: bool
 
-    def in_any_cq_like(self) -> bool:
-        """Whether the pattern is in at least one CQ-like fragment."""
-        return self.is_cq or self.is_cqf or self.is_cqof
-
 
 def classify_fragments(query: ast.Query) -> FragmentProfile:
     """Classify the body of a Select/Ask query into the §5.2 fragments.

@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..rdf.terms import Term
 from .canonical import Hypergraph
 
-__all__ = ["hypertree_width", "HypertreeResult", "decompose"]
+__all__ = ["hypertree_width", "HypertreeResult"]
 
 Edge = FrozenSet[Term]
 
@@ -66,14 +66,6 @@ def hypertree_width(
         if node_count is not None:
             return HypertreeResult(k, True, node_count)
     return HypertreeResult(len(edges), False, 1)
-
-
-def decompose(hypergraph: Hypergraph, k: int) -> Optional[int]:
-    """Return the node count of some width-≤k decomposition, or None."""
-    edges = [frozenset(edge) for edge in hypergraph.distinct_edges()]
-    if not edges:
-        return 0
-    return _decompose_width(edges, k)
 
 
 def _decompose_width(edges: List[Edge], k: int) -> Optional[int]:

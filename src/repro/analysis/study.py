@@ -234,7 +234,7 @@ class CorpusStudy:
     non_ctract: List[str] = field(default_factory=list)
 
     # Coverage accounting: data the analysis limits would otherwise
-    # drop silently (surfaced by ``render_study`` when nonzero).
+    # drop silently (surfaced by the report's caveats section when nonzero).
     shape_limit_skipped: int = 0  # queries over the shape-node limit
     non_ctract_truncated: int = 0  # Table 5 outliers beyond the cap
 
@@ -402,14 +402,6 @@ class CorpusStudy:
             for name, stats in self.datasets.items()
             if stats.streaks is not None
         }
-
-    def streak_total(self) -> int:
-        """Total streaks detected across all datasets."""
-        return sum(
-            stats.streaks.streak_count
-            for stats in self.datasets.values()
-            if stats.streaks is not None
-        )
 
     def streak_longest(self) -> int:
         """Length of the longest streak across all datasets (0 if none)."""

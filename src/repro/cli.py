@@ -63,8 +63,9 @@ from .reporting import (
     render_figure3,
     render_pass_profile,
     render_report,
-    render_table6_from_study,
+    render_text,
     reporter_names,
+    table6_section,
 )
 
 # Verb-specific layers (engine, workload, warehouse, the watch session)
@@ -263,11 +264,11 @@ def _cmd_streaks(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as error:
         print(f"streaks: {error}", file=sys.stderr)
         return 2
-    block = render_table6_from_study(result.study)
-    if block is None:  # pragma: no cover - the metric always attaches state
+    blocks = table6_section(result.study)
+    if not blocks:  # pragma: no cover - the metric always attaches state
         print("streaks: no streak state was produced", file=sys.stderr)
         return 2
-    print(block)
+    print(render_text(blocks))
     return 0
 
 
@@ -473,6 +474,17 @@ def _positive_float(value: str) -> float:
     if not (0 < number < math.inf):
         raise argparse.ArgumentTypeError(
             f"must be a positive finite number, got {value}"
+        )
+    return number
+
+
+def _interval_seconds(value: str) -> float:
+    """``--interval``: seconds between watch cycles, 0 up to 1e9 (about
+    31 years; ``time.sleep`` overflows not far above that)."""
+    number = float(value)
+    if not 0 <= number <= 1e9:  # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"must be a number of seconds from 0 to 1e9, got {value}"
         )
     return number
 
@@ -696,7 +708,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--interval",
-        type=float,
+        type=_interval_seconds,
         default=2.0,
         metavar="SECONDS",
         help="sleep between cycles (default 2.0; ignored after the last)",

@@ -1,10 +1,9 @@
-"""RDF data model: terms, triples, graphs, namespaces, N-Triples IO.
+"""RDF data model: terms, triples, graphs, namespaces.
 
 Paper mapping: the RDF preliminaries of sec 3, backing the Figure 3
 engines and the synthetic corpus.
 """
 
-from . import ntriples, turtle
 from .graph import Graph
 from .namespaces import WELL_KNOWN_PREFIXES, Namespace, NamespaceManager
 from .terms import (
@@ -37,6 +36,4 @@ __all__ = [
     "XSD_DOUBLE",
     "XSD_INTEGER",
     "XSD_STRING",
-    "ntriples",
-    "turtle",
 ]

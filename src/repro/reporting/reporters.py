@@ -1,18 +1,18 @@
 """Pluggable multi-format study reporters.
 
-The text tables of :mod:`repro.reporting.tables` used to be the *only*
-way to consume a :class:`~repro.analysis.study.CorpusStudy`.  This
-module turns output into a registry of :class:`Reporter` objects —
-``text``, ``json``, ``jsonl``, ``csv``, ``markdown`` out of the box —
-that all render from the study alone (Table 1 comes from the pipeline
-counters carried on ``study.datasets``), so a snapshot loaded from JSON
-reports exactly like a freshly computed study.
+A registry of :class:`Reporter` objects — ``text``, ``json``,
+``jsonl``, ``csv``, ``markdown`` and ``diff`` out of the box — that
+render a :class:`~repro.analysis.study.CorpusStudy` from the study
+alone (Table 1 comes from the pipeline counters carried on
+``study.datasets``), so a snapshot loaded from JSON reports exactly
+like a freshly computed study.
 
 Contracts:
 
-* ``render_report(study, "text")`` is byte-identical to the historical
-  ``render_study(study, logs)`` output for any study produced by the
-  drivers (golden-tested) — Table 1 first, then the paper tables.
+* Text and markdown render the same report sections
+  (:data:`~repro.reporting.tables.REPORT_SECTIONS`): the same tables,
+  titles and cells, Table 1 first.  The text report is pinned by the
+  golden tests.
 * Every reporter is a pure function of the study: same study, same
   bytes, so serial/sharded/streamed/reloaded runs compare equal.
 * Third-party formats plug in via :func:`register_reporter`; the CLI
@@ -38,14 +38,7 @@ from typing import (
 
 from ..analysis.study import CorpusStudy
 from ..exceptions import ReporterRegistrationError
-from .tables import (
-    _pct,
-    figure5_rows,
-    render_coverage_caveats,
-    render_study,
-    render_table1_from_study,
-    table1_rows,
-)
+from .tables import Table, render_text, report_blocks, table1_rows
 
 __all__ = [
     "Reporter",
@@ -90,10 +83,7 @@ class TextReporter:
 
     def render(self, study: CorpusStudy) -> str:
         """Render the monospace report (Table 1 + the paper tables)."""
-        # Table 1 from the stats the pipeline stamped onto the study,
-        # then the same block sequence render_study(study, logs) built:
-        # byte-identical to the pre-registry CLI output.
-        return render_table1_from_study(study) + "\n\n" + render_study(study)
+        return render_text(report_blocks(study))
 
 
 class JsonReporter:
@@ -334,16 +324,19 @@ class CsvReporter:
         return buffer.getvalue()
 
 
-def _md_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    lines = ["| " + " | ".join(headers) + " |",
-             "| " + " | ".join("---" for _ in headers) + " |"]
-    for row in rows:
-        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
-    return "\n".join(lines)
+def _md_row(cells: Iterable[str]) -> str:
+    return "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+
+
+def _md_item(line: str) -> str:
+    """A note line as a list item; its indentation nests the item."""
+    text = line.lstrip()
+    return f"{line[:len(line) - len(text)]}- {text}"
 
 
 class MarkdownReporter:
-    """GitHub-flavored markdown: the paper tables as pipe tables."""
+    """GitHub-flavored markdown: the text report's tables as pipe
+    tables under the same titles, its note lines as list items."""
 
     name = "markdown"
     description = "GitHub-flavored markdown tables"
@@ -351,174 +344,16 @@ class MarkdownReporter:
     def render(self, study: CorpusStudy) -> str:
         """Render the markdown report."""
         corpus = "Unique" if study.dedup else "Valid"
-        blocks = [f"# SPARQL log study ({corpus} corpus)"]
-        blocks.append(
-            "## Table 1: Sizes of query logs\n\n"
-            + _md_table(
-                ("Source", "Total #Q", "Valid #Q", "Unique #Q"),
-                [
-                    (name, f"{total:,}", f"{valid:,}", f"{unique:,}")
-                    for name, total, valid, unique in table1_rows(study)
-                ],
-            )
-        )
-        blocks.append(
-            "## Table 2: Keyword count in queries\n\n"
-            + _md_table(
-                ("Element", "Absolute", "Relative"),
-                [
-                    (keyword, f"{absolute:,}", _pct(relative))
-                    for keyword, absolute, relative in study.keyword_table()
-                ],
-            )
-        )
-        summary_rows = [
-            (
-                name,
-                f"{100.0 * stats.select_ask_share:.2f}%",
-                f"{stats.average_triples:.2f}",
-            )
-            for name, stats in study.datasets.items()
-        ]
-        blocks.append(
-            "## Figure 1: S/A share and average triples\n\n"
-            + _md_table(("Dataset", "S/A", "Avg#T"), summary_rows)
-        )
-        operator_rows = [
-            (label, f"{count:,}", _pct(relative))
-            for label, count, relative in study.operator_table()
-        ]
-        for letter, label in (("O", "CPF+O"), ("G", "CPF+G"), ("U", "CPF+U")):
-            increment, relative = study.cpf_plus(letter)
-            operator_rows.append((label, f"+{increment:,}", f"+{relative:.2f}%"))
-        blocks.append(
-            "## Table 3: Sets of operators used in queries\n\n"
-            + _md_table(("Operator Set", "Absolute", "Relative"), operator_rows)
-        )
-        low, high = study.projection_bounds()
-        blocks.append(
-            "## Sec 4.4: Subqueries and projection\n\n"
-            + _md_table(
-                ("Measure", "Value"),
-                [
-                    ("queries with subqueries", f"{study.subquery_count:,}"),
-                    ("projection bounds", f"{low:.2f}%-{high:.2f}%"),
-                ],
-            )
-        )
-        sa = study.select_ask_count or 1
-        aof = study.aof_count or 1
-        blocks.append(
-            "## Sec 5.2: Query fragments\n\n"
-            + _md_table(
-                ("Fragment", "Absolute", "Relative"),
-                [
-                    ("AOF patterns", f"{study.aof_count:,}",
-                     _pct(100.0 * study.aof_count / sa)),
-                    ("CQ (of AOF)", f"{study.cq_count:,}",
-                     _pct(100.0 * study.cq_count / aof)),
-                    ("CQF (of AOF)", f"{study.cqf_count:,}",
-                     _pct(100.0 * study.cqf_count / aof)),
-                    ("well-designed (of AOF)", f"{study.well_designed_count:,}",
-                     _pct(100.0 * study.well_designed_count / aof)),
-                    ("CQOF (of AOF)", f"{study.cqof_count:,}",
-                     _pct(100.0 * study.cqof_count / aof)),
-                    ("interface width > 1", f"{study.wide_interface_count:,}",
-                     _pct(100.0 * study.wide_interface_count / aof)),
-                ],
-            )
-        )
-        blocks.append(
-            "## Figure 5: Size of CQ-like queries with at least two triples\n\n"
-            + _md_table(("size", "CQ", "CQF", "CQOF"), figure5_rows(study))
-        )
-        for fragment in ("CQ", "CQF", "CQOF"):
-            blocks.append(
-                f"## Table 4 ({fragment}): cumulative shape analysis\n\n"
-                + _md_table(
-                    ("Shape", "#Queries", "Relative %"),
-                    [
-                        (shape, f"{count:,}", _pct(relative))
-                        for shape, count, relative in study.shape_table(fragment)
-                    ],
-                )
-            )
-        girth_rows = [
-            (f"shortest cycle = {length}", f"{count:,}")
-            for length, count in sorted(study.girth_hist.items())
-        ]
-        constants = study.single_edge_cq_with_constants
-        total_single = study.single_edge_cq or 1
-        blocks.append(
-            "## Sec 6.1: Cycles and constants\n\n"
-            + _md_table(
-                ("Measure", "#Queries"),
-                girth_rows
-                + [
-                    ("single-edge CQs", f"{study.single_edge_cq:,}"),
-                    (
-                        "single-edge CQs using constants",
-                        f"{constants:,} ({100.0 * constants / total_single:.2f}%)",
-                    ),
-                ],
-            )
-        )
-        blocks.append(
-            "## Sec 6.2: Hypertree width of predicate-variable CQOF queries\n\n"
-            + _md_table(
-                ("Measure", "#Queries"),
-                [
-                    (f"hypertree width {width}", f"{count:,}")
-                    for width, count in sorted(study.hypertree_widths.items())
-                ]
-                + [
-                    (f"decomposition nodes = {nodes}", f"{count:,}")
-                    for nodes, count in sorted(study.decomposition_nodes.items())
-                ],
-            )
-        )
-        blocks.append(
-            "## Table 5: Structure of navigational property paths\n\n"
-            + _md_table(
-                ("Expression Type", "Absolute", "Relative", "k"),
-                [
-                    (name, f"{count:,}", _pct(relative), k_range)
-                    for name, count, relative, k_range in study.path_table()
-                ],
-            )
-        )
-        histograms = study.streak_histograms()
-        if histograms:
-            names = list(histograms)
-            buckets = list(next(iter(histograms.values())))
-            table6 = _md_table(
-                ("Streak length", *names),
-                [
-                    (bucket, *(f"{histograms[name][bucket]:,}" for name in names))
-                    for bucket in buckets
-                ],
-            )
-            longest = study.streak_longest()
-            if longest:
-                table6 += f"\n\nLongest streak: {longest:,} queries."
-            blocks.append(
-                "## Table 6: Length of streaks in single-day log files\n\n" + table6
-            )
-        caveats = render_coverage_caveats(study)
-        if caveats is not None:
-            blocks.append(
-                "## Coverage caveats\n\n"
-                + _md_table(
-                    ("Limit", "Dropped"),
-                    [
-                        ("queries over the shape-node limit",
-                         f"{study.shape_limit_skipped:,}"),
-                        ("non-Ctract paths beyond the sample cap",
-                         f"{study.non_ctract_truncated:,}"),
-                    ],
-                )
-            )
-        return "\n\n".join(blocks) + "\n"
+        parts = [f"# SPARQL log study ({corpus} corpus)"]
+        for block in report_blocks(study):
+            if isinstance(block, Table):
+                lines = [f"## {block.title}", "", _md_row(block.headers),
+                         _md_row("---" for _ in block.headers)]
+                lines.extend(_md_row(row) for row in block.rows)
+            else:
+                lines = [_md_item(line) for line in block.lines]
+            parts.append("\n".join(lines))
+        return "\n\n".join(parts) + "\n"
 
 
 #: The built-in formats, in presentation order.

@@ -1,41 +1,63 @@
-"""Paper-style table and figure renderers.
+"""The paper's tables as data, and their monospace text rendering.
 
-Every benchmark prints its result through one of these functions, so
-the rows come out in the same shape as the paper's tables — experiment
-id, row labels, absolute counts, relative percentages — making the
-paper-vs-measured comparison in EXPERIMENTS.md mechanical.
+Each report section (Table 1, Table 2, Figure 1, …, the coverage
+caveats) is one function of the study.  It returns the section's
+blocks in paper order: :class:`Table` values (title, headers and
+formatted rows) and :class:`Note` lines.  :data:`REPORT_SECTIONS`
+lists the sections in report order.  The text report, the markdown
+report, the warehouse's per-table blocks and ``repro streaks`` all
+render these blocks, so every table is derived in exactly one place.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from ..analysis.passes import PassProfile
 from ..analysis.study import CorpusStudy
-from ..logs.pipeline import QueryLog
 
 __all__ = [
-    "render_study",
-    "render_table",
-    "render_table1",
-    "render_table1_from_study",
-    "table1_rows",
-    "render_table2",
-    "render_figure1",
-    "figure5_rows",
-    "render_table3",
-    "render_projection",
-    "render_fragments",
-    "render_figure5",
-    "render_table4",
-    "render_table5",
-    "render_table6",
-    "render_table6_from_study",
-    "render_hypertree",
+    "Block",
+    "Note",
+    "REPORT_SECTIONS",
+    "Table",
+    "caveats_section",
+    "figure1_section",
+    "figure5_section",
+    "fragments_section",
+    "hypertree_section",
+    "projection_section",
+    "render_dataset_highlights",
     "render_figure3",
-    "render_coverage_caveats",
     "render_pass_profile",
+    "render_table",
+    "render_text",
+    "report_blocks",
+    "table1_rows",
+    "table1_section",
+    "table2_section",
+    "table3_section",
+    "table4_section",
+    "table5_section",
+    "table6_section",
 ]
+
+
+class Table(NamedTuple):
+    """One titled table: header cells and rows of formatted cells."""
+
+    title: str
+    headers: Tuple[str, ...]
+    rows: List[Tuple[str, ...]]
+
+
+class Note(NamedTuple):
+    """Prose lines printed among a section's tables."""
+
+    lines: Tuple[str, ...]
+
+
+Block = Union[Table, Note]
 
 
 def render_table(
@@ -63,38 +85,12 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_study(
-    study: CorpusStudy, logs: Optional[Mapping[str, QueryLog]] = None
-) -> str:
-    """The full paper report for one study, as a single string.
-
-    The output is a pure function of the study (plus the optional logs
-    for Table 1), so serial and sharded runs can be compared
-    byte-for-byte.
-    """
-    blocks: List[str] = []
-    if logs is not None:
-        blocks.append(render_table1(logs))
-    blocks.extend(
-        [
-            render_table2(study),
-            render_figure1(study),
-            render_table3(study),
-            render_projection(study),
-            render_fragments(study),
-            render_figure5(study),
-            render_table4(study),
-            render_hypertree(study),
-            render_table5(study),
-        ]
+def render_text(blocks: Iterable[Block]) -> str:
+    """Blocks as monospace text, one blank line between blocks."""
+    return "\n\n".join(
+        render_table(*block) if isinstance(block, Table) else "\n".join(block.lines)
+        for block in blocks
     )
-    streaks = render_table6_from_study(study)
-    if streaks is not None:
-        blocks.append(streaks)
-    caveats = render_coverage_caveats(study)
-    if caveats is not None:
-        blocks.append(caveats)
-    return "\n\n".join(blocks)
 
 
 def _pct(value: float) -> str:
@@ -117,93 +113,68 @@ def table1_rows(study: CorpusStudy) -> List[Tuple[str, int, int, int]]:
     return rows
 
 
-def _render_table1_rows(rows: Iterable[Tuple[str, int, int, int]]) -> str:
-    return render_table(
-        "Table 1: Sizes of query logs in our corpus",
-        ("Source", "Total #Q", "Valid #Q", "Unique #Q"),
-        [
-            (name, f"{total:,}", f"{valid:,}", f"{unique:,}")
-            for name, total, valid, unique in rows
-        ],
-    )
+def table1_section(study: CorpusStudy) -> List[Block]:
+    """Table 1: log sizes, from the pipeline counters on the study."""
+    return [
+        Table(
+            "Table 1: Sizes of query logs in our corpus",
+            ("Source", "Total #Q", "Valid #Q", "Unique #Q"),
+            [
+                (name, f"{total:,}", f"{valid:,}", f"{unique:,}")
+                for name, total, valid, unique in table1_rows(study)
+            ],
+        )
+    ]
 
 
-def render_table1(logs: Mapping[str, QueryLog]) -> str:
-    """Table 1 from live :class:`QueryLog` objects."""
-    rows = []
-    total = valid = unique = 0
-    for name, log in logs.items():
-        rows.append((name, log.total, log.valid, log.unique))
-        total += log.total
-        valid += log.valid
-        unique += log.unique
-    rows.append(("Total", total, valid, unique))
-    return _render_table1_rows(rows)
-
-
-def render_table1_from_study(study: CorpusStudy) -> str:
-    """Table 1 rendered from ``study.datasets`` instead of live logs.
-
-    ``study_corpus`` copies the pipeline counters (Total/Valid/Unique)
-    onto each :class:`DatasetStats`, so for any study the drivers
-    produce this is byte-identical to :func:`render_table1` over the
-    source logs — which is what lets a snapshot loaded from JSON render
-    the exact same report with no :class:`QueryLog` objects around.
-    """
-    return _render_table1_rows(table1_rows(study))
-
-
-def render_table2(study: CorpusStudy, title: str = "Table 2") -> str:
+def table2_section(study: CorpusStudy, title: str = "Table 2") -> List[Block]:
     """Table 2: keyword counts with relative shares."""
-    rows = [
-        (keyword, f"{absolute:,}", _pct(relative))
-        for keyword, absolute, relative in study.keyword_table()
+    return [
+        Table(
+            f"{title}: Keyword count in queries",
+            ("Element", "Absolute", "Relative"),
+            [
+                (keyword, f"{absolute:,}", _pct(relative))
+                for keyword, absolute, relative in study.keyword_table()
+            ],
+        )
     ]
-    return render_table(
-        f"{title}: Keyword count in queries",
-        ("Element", "Absolute", "Relative"),
-        rows,
-    )
 
 
-def render_figure1(study: CorpusStudy, title: str = "Figure 1") -> str:
+def figure1_section(study: CorpusStudy) -> List[Block]:
     """Figure 1: triple-count distribution, S/A share, Avg#T."""
-    blocks: List[str] = []
-    header = ["bucket"] + list(study.datasets)
-    hist_rows: List[List[str]] = []
-    buckets = [str(i) for i in range(11)] + ["11+"]
-    per_dataset = {
-        name: stats.triple_hist_percentages()
-        for name, stats in study.datasets.items()
-    }
-    for bucket in buckets:
-        row = [bucket] + [
-            f"{per_dataset[name][bucket]:.1f}" for name in study.datasets
-        ]
-        hist_rows.append(row)
-    blocks.append(
-        render_table(
-            f"{title}: % of S/A queries per number of triples", header, hist_rows
-        )
-    )
-    summary_rows = [
-        ["S/A"] + [
-            f"{100.0 * stats.select_ask_share:.2f}%"
-            for stats in study.datasets.values()
-        ],
-        ["Avg#T"] + [
-            f"{stats.average_triples:.2f}" for stats in study.datasets.values()
-        ],
+    header = ("bucket", *study.datasets)
+    per_dataset = [
+        stats.triple_hist_percentages() for stats in study.datasets.values()
     ]
-    blocks.append(
-        render_table(
-            f"{title} (bottom): S/A share and average triples", header, summary_rows
-        )
-    )
-    return "\n\n".join(blocks)
+    buckets = [str(i) for i in range(11)] + ["11+"]
+    return [
+        Table(
+            "Figure 1: % of S/A queries per number of triples",
+            header,
+            [
+                (bucket, *(f"{shares[bucket]:.1f}" for shares in per_dataset))
+                for bucket in buckets
+            ],
+        ),
+        Table(
+            "Figure 1 (bottom): S/A share and average triples",
+            header,
+            [
+                ("S/A", *(
+                    f"{100.0 * stats.select_ask_share:.2f}%"
+                    for stats in study.datasets.values()
+                )),
+                ("Avg#T", *(
+                    f"{stats.average_triples:.2f}"
+                    for stats in study.datasets.values()
+                )),
+            ],
+        ),
+    ]
 
 
-def render_table3(study: CorpusStudy, title: str = "Table 3") -> str:
+def table3_section(study: CorpusStudy, title: str = "Table 3") -> List[Block]:
     """Table 3: operator-set distribution with CPF increments."""
     rows = [
         (label, f"{count:,}", _pct(pct))
@@ -212,238 +183,224 @@ def render_table3(study: CorpusStudy, title: str = "Table 3") -> str:
     for letter, name in (("O", "CPF+O"), ("G", "CPF+G"), ("U", "CPF+U")):
         increment, pct = study.cpf_plus(letter)
         rows.append((name, f"+{increment:,}", f"+{pct:.2f}%"))
-    rows.append(
-        (
-            "other combinations",
-            f"{study.operator_other_combination:,}",
-            _pct(100.0 * study.operator_other_combination
-                 / (study.select_ask_count or 1)),
+    select_ask = study.select_ask_count or 1
+    for label, count in (
+        ("other combinations", study.operator_other_combination),
+        ("other features", study.operator_other_features),
+    ):
+        rows.append((label, f"{count:,}", _pct(100.0 * count / select_ask)))
+    return [
+        Table(
+            f"{title}: Sets of operators used in queries",
+            ("Operator Set", "Absolute", "Relative"),
+            rows,
         )
-    )
-    rows.append(
-        (
-            "other features",
-            f"{study.operator_other_features:,}",
-            _pct(100.0 * study.operator_other_features
-                 / (study.select_ask_count or 1)),
-        )
-    )
-    return render_table(
-        f"{title}: Sets of operators used in queries",
-        ("Operator Set", "Absolute", "Relative"),
-        rows,
-    )
+    ]
 
 
-def render_projection(study: CorpusStudy) -> str:
+def projection_section(study: CorpusStudy) -> List[Block]:
     """Sec 4.4: subquery counts and projection bounds."""
     low, high = study.projection_bounds()
     subquery_pct = 100.0 * study.subquery_count / (study.query_count or 1)
-    rows = [
-        ("queries with subqueries", f"{study.subquery_count:,}", _pct(subquery_pct)),
-        ("projection (definite)", f"{study.projection_true:,}", _pct(low)),
-        (
-            "projection (indeterminate, Bind)",
-            f"{study.projection_indeterminate:,}",
-            _pct(high - low),
-        ),
-        ("projection bounds", "", f"{low:.2f}%-{high:.2f}%"),
+    return [
+        Table(
+            "Sec 4.4: Subqueries and projection",
+            ("Measure", "Absolute", "Relative"),
+            [
+                ("queries with subqueries", f"{study.subquery_count:,}",
+                 _pct(subquery_pct)),
+                ("projection (definite)", f"{study.projection_true:,}", _pct(low)),
+                ("projection (indeterminate, Bind)",
+                 f"{study.projection_indeterminate:,}", _pct(high - low)),
+                ("projection bounds", "", f"{low:.2f}%-{high:.2f}%"),
+            ],
+        )
     ]
-    return render_table(
-        "Sec 4.4: Subqueries and projection",
-        ("Measure", "Absolute", "Relative"),
-        rows,
-    )
 
 
-def render_fragments(study: CorpusStudy) -> str:
+def fragments_section(study: CorpusStudy) -> List[Block]:
     """Sec 5.2: fragment sizes relative to S/A and AOF."""
     sa = study.select_ask_count or 1
     aof = study.aof_count or 1
-    rows = [
-        ("AOF patterns", f"{study.aof_count:,}", _pct(100.0 * study.aof_count / sa)),
-        ("CQ (of AOF)", f"{study.cq_count:,}", _pct(100.0 * study.cq_count / aof)),
-        ("CQF (of AOF)", f"{study.cqf_count:,}", _pct(100.0 * study.cqf_count / aof)),
-        (
-            "well-designed (of AOF)",
-            f"{study.well_designed_count:,}",
-            _pct(100.0 * study.well_designed_count / aof),
-        ),
-        (
-            "CQOF (of AOF)",
-            f"{study.cqof_count:,}",
-            _pct(100.0 * study.cqof_count / aof),
-        ),
-        (
-            "interface width > 1",
-            f"{study.wide_interface_count:,}",
-            _pct(100.0 * study.wide_interface_count / aof),
-        ),
+    rows = [("AOF patterns", f"{study.aof_count:,}", _pct(100.0 * study.aof_count / sa))]
+    for label, count in (
+        ("CQ (of AOF)", study.cq_count),
+        ("CQF (of AOF)", study.cqf_count),
+        ("well-designed (of AOF)", study.well_designed_count),
+        ("CQOF (of AOF)", study.cqof_count),
+        ("interface width > 1", study.wide_interface_count),
+    ):
+        rows.append((label, f"{count:,}", _pct(100.0 * count / aof)))
+    return [
+        Table("Sec 5.2: Query fragments", ("Fragment", "Absolute", "Relative"), rows)
     ]
-    return render_table(
-        "Sec 5.2: Query fragments",
-        ("Fragment", "Absolute", "Relative"),
-        rows,
-    )
 
 
-def figure5_rows(study: CorpusStudy) -> List[Tuple[str, str, str, str]]:
-    """Figure 5 `(size, CQ%, CQF%, CQOF%)` rows, shared by renderers."""
-    rows: List[Tuple[str, str, str, str]] = []
-
-    def column(sizes, bucket_low: int, bucket_high: Optional[int]) -> str:
-        """One Figure 5 percentage cell for a bucket of sizes."""
-        multi = {k: v for k, v in sizes.items() if k >= 2}
-        denominator = sum(multi.values()) or 1
-        if bucket_high is None:
-            count = sum(v for k, v in multi.items() if k >= bucket_low)
-        else:
-            count = sum(
-                v for k, v in multi.items() if bucket_low <= k <= bucket_high
-            )
-        return f"{100.0 * count / denominator:.1f}%"
-
-    for size in range(2, 11):
-        rows.append(
-            (
-                str(size),
-                column(study.cq_sizes, size, size),
-                column(study.cqf_sizes, size, size),
-                column(study.cqof_sizes, size, size),
-            )
-        )
-    rows.append(
-        (
-            "11+",
-            column(study.cq_sizes, 11, None),
-            column(study.cqf_sizes, 11, None),
-            column(study.cqof_sizes, 11, None),
-        )
-    )
-    one_triple = []
-    for sizes in (study.cq_sizes, study.cqf_sizes, study.cqof_sizes):
-        total = sum(sizes.values()) or 1
-        one_triple.append(f"{100.0 * sizes.get(1, 0) / total:.2f}%")
-    rows.append(("(1 triple)", *one_triple))
-    return rows
-
-
-def render_figure5(study: CorpusStudy, title: str = "Figure 5") -> str:
+def figure5_section(study: CorpusStudy) -> List[Block]:
     """Figure 5: size distribution of CQ-like queries."""
-    return render_table(
-        f"{title}: Size of CQ-like queries with at least two triples",
-        ("size", "CQ", "CQF", "CQOF"),
-        figure5_rows(study),
-    )
+    fragments = (study.cq_sizes, study.cqf_sizes, study.cqof_sizes)
 
+    def share(sizes, low: int, high: float) -> str:
+        """Percentage of multi-triple queries with low <= size <= high."""
+        multi = {k: v for k, v in sizes.items() if k >= 2}
+        count = sum(v for k, v in multi.items() if low <= k <= high)
+        return f"{100.0 * count / (sum(multi.values()) or 1):.1f}%"
 
-def render_table4(study: CorpusStudy, title: str = "Table 4") -> str:
-    """Table 4: cumulative shape analysis per fragment, plus girth."""
-    blocks = []
-    for fragment in ("CQ", "CQF", "CQOF"):
-        rows = [
-            (shape, f"{count:,}", _pct(pct))
-            for shape, count, pct in study.shape_table(fragment)
-        ]
-        blocks.append(
-            render_table(
-                f"{title} ({fragment}): cumulative shape analysis",
-                ("Shape", "#Queries", "Relative %"),
-                rows,
-            )
-        )
-    girth_rows = [
-        (f"shortest cycle = {length}", f"{count:,}", "")
-        for length, count in sorted(study.girth_hist.items())
+    rows = [
+        (str(size), *(share(sizes, size, size) for sizes in fragments))
+        for size in range(2, 11)
     ]
-    if girth_rows:
+    rows.append(("11+", *(share(sizes, 11, float("inf")) for sizes in fragments)))
+    rows.append(("(1 triple)", *(
+        f"{100.0 * sizes.get(1, 0) / (sum(sizes.values()) or 1):.2f}%"
+        for sizes in fragments
+    )))
+    return [
+        Table(
+            "Figure 5: Size of CQ-like queries with at least two triples",
+            ("size", "CQ", "CQF", "CQOF"),
+            rows,
+        )
+    ]
+
+
+def table4_section(study: CorpusStudy) -> List[Block]:
+    """Table 4: cumulative shape analysis per fragment, plus the
+    girth and single-edge constants of Sec 6.1."""
+    blocks: List[Block] = [
+        Table(
+            f"Table 4 ({fragment}): cumulative shape analysis",
+            ("Shape", "#Queries", "Relative %"),
+            [
+                (shape, f"{count:,}", _pct(pct))
+                for shape, count, pct in study.shape_table(fragment)
+            ],
+        )
+        for fragment in ("CQ", "CQF", "CQOF")
+    ]
+    if study.girth_hist:
         blocks.append(
-            render_table(
-                f"{title} (cycles): shortest cycle lengths",
+            Table(
+                "Table 4 (cycles): shortest cycle lengths",
                 ("Girth", "#Queries", ""),
-                girth_rows,
+                [
+                    (f"shortest cycle = {length}", f"{count:,}", "")
+                    for length, count in sorted(study.girth_hist.items())
+                ],
             )
         )
     constants = study.single_edge_cq_with_constants
-    total_single = study.single_edge_cq or 1
-    blocks.append(
+    blocks.append(Note((
         f"Single-edge CQs using constants: {constants:,} "
-        f"({100.0 * constants / total_single:.2f}% of single-edge CQs)"
-    )
-    return "\n\n".join(blocks)
+        f"({100.0 * constants / (study.single_edge_cq or 1):.2f}% "
+        "of single-edge CQs)",
+    )))
+    return blocks
 
 
-def render_table5(study: CorpusStudy, title: str = "Table 5") -> str:
-    """Table 5: the navigational property-path taxonomy."""
-    rows = [
-        (name, f"{count:,}", _pct(pct), k_range)
-        for name, count, pct, k_range in study.path_table()
-    ]
-    preamble = [
-        f"Property paths total: {study.property_path_total:,}",
-        f"  simple !a: {study.simple_path_forms.get('!a', 0):,}",
-        f"  simple ^a: {study.simple_path_forms.get('^a', 0):,}",
-        f"  navigational: {sum(study.path_types.values()):,}",
-        f"  not in Ctract: {len(study.non_ctract)} "
-        f"{study.non_ctract[:3]!r}",
-    ]
-    return "\n".join(preamble) + "\n\n" + render_table(
-        f"{title}: Structure of navigational property paths",
-        ("Expression Type", "Absolute", "Relative", "k"),
-        rows,
-    )
-
-
-def render_table6(histograms: Mapping[str, Mapping[str, int]]) -> str:
-    """Table 6: streak-length histograms, one column per log."""
-    names = list(histograms)
-    buckets = list(next(iter(histograms.values())).keys()) if histograms else []
-    rows = []
-    for bucket in buckets:
-        rows.append(
-            (bucket, *(f"{histograms[name][bucket]:,}" for name in names))
+def hypertree_section(study: CorpusStudy) -> List[Block]:
+    """Sec 6.2: hypertree widths of predicate-variable queries."""
+    return [
+        Table(
+            "Sec 6.2: Hypertree width of predicate-variable CQOF queries",
+            ("Measure", "#Queries", ""),
+            [
+                (f"hypertree width {width}", f"{count:,}", "")
+                for width, count in sorted(study.hypertree_widths.items())
+            ]
+            + [
+                (f"decomposition nodes = {nodes}", f"{count:,}", "")
+                for nodes, count in sorted(study.decomposition_nodes.items())
+            ],
         )
-    return render_table(
-        "Table 6: Length of streaks in single-day log files",
-        ("Streak length", *names),
-        rows,
-    )
+    ]
 
 
-def render_table6_from_study(study: CorpusStudy) -> Optional[str]:
-    """The Table 6 block of a study, or ``None`` when no dataset ran
-    the ``streaks`` sequence metric.
+def table5_section(study: CorpusStudy) -> List[Block]:
+    """Table 5: the navigational property-path taxonomy."""
+    return [
+        Note((
+            f"Property paths total: {study.property_path_total:,}",
+            f"  simple !a: {study.simple_path_forms.get('!a', 0):,}",
+            f"  simple ^a: {study.simple_path_forms.get('^a', 0):,}",
+            f"  navigational: {sum(study.path_types.values()):,}",
+            f"  not in Ctract: {len(study.non_ctract)} {study.non_ctract[:3]!r}",
+        )),
+        Table(
+            "Table 5: Structure of navigational property paths",
+            ("Expression Type", "Absolute", "Relative", "k"),
+            [
+                (name, f"{count:,}", _pct(pct), k_range)
+                for name, count, pct, k_range in study.path_table()
+            ],
+        ),
+    ]
 
-    Rendered from the per-dataset accumulators carried on
-    ``study.datasets`` — so a snapshot reloaded from JSON produces the
-    same bytes as the run that detected the streaks, and ``repro
-    streaks`` prints exactly this block.
-    """
+
+def table6_section(study: CorpusStudy) -> List[Block]:
+    """Table 6: streak-length histograms, one column per log; empty
+    when no dataset ran the ``streaks`` sequence metric."""
     histograms = study.streak_histograms()
     if not histograms:
-        return None
-    block = render_table6(histograms)
+        return []
+    names = list(histograms)
+    blocks: List[Block] = [
+        Table(
+            "Table 6: Length of streaks in single-day log files",
+            ("Streak length", *names),
+            [
+                (bucket, *(f"{histograms[name][bucket]:,}" for name in names))
+                for bucket in histograms[names[0]]
+            ],
+        )
+    ]
     longest = study.streak_longest()
     if longest:
-        block += f"\n\nlongest streak: {longest} queries"
-    return block
+        blocks.append(Note((f"longest streak: {longest} queries",)))
+    return blocks
 
 
-def render_hypertree(study: CorpusStudy) -> str:
-    """Sec 6.2: hypertree widths of predicate-variable queries."""
-    rows = [
-        (f"hypertree width {width}", f"{count:,}", "")
-        for width, count in sorted(study.hypertree_widths.items())
+def caveats_section(study: CorpusStudy) -> List[Block]:
+    """Data dropped by analysis limits; empty when nothing was, so
+    reports over well-behaved corpora carry no such section."""
+    if not (study.shape_limit_skipped or study.non_ctract_truncated):
+        return []
+    return [
+        Table(
+            "Coverage caveats: data dropped by analysis limits",
+            ("Limit", "Dropped"),
+            [
+                ("queries over the shape-node limit (structure pass skipped)",
+                 f"{study.shape_limit_skipped:,}"),
+                ("non-Ctract path expressions beyond the sample cap",
+                 f"{study.non_ctract_truncated:,}"),
+            ],
+        )
     ]
-    node_rows = [
-        (f"decomposition nodes = {nodes}", f"{count:,}", "")
-        for nodes, count in sorted(study.decomposition_nodes.items())
-    ]
-    return render_table(
-        "Sec 6.2: Hypertree width of predicate-variable CQOF queries",
-        ("Measure", "#Queries", ""),
-        rows + node_rows,
-    )
+
+
+#: The report's sections in report order, keyed like the long-format
+#: sections of ``study_long_rows`` (``table1`` … ``table6`` are the
+#: paper's numbered tables).
+REPORT_SECTIONS: Dict[str, Callable[[CorpusStudy], List[Block]]] = {
+    "table1": table1_section,
+    "table2": table2_section,
+    "figure1": figure1_section,
+    "table3": table3_section,
+    "sec4.4": projection_section,
+    "sec5.2": fragments_section,
+    "figure5": figure5_section,
+    "table4": table4_section,
+    "sec6.2": hypertree_section,
+    "table5": table5_section,
+    "table6": table6_section,
+    "caveats": caveats_section,
+}
+
+
+def report_blocks(study: CorpusStudy) -> List[Block]:
+    """Every block of the full report, in report order."""
+    return [block for section in REPORT_SECTIONS.values() for block in section(study)]
 
 
 def render_dataset_highlights(study: CorpusStudy) -> str:
@@ -467,33 +424,6 @@ def render_dataset_highlights(study: CorpusStudy) -> str:
     return render_table(
         "Per-dataset keyword usage (paper sec 4.1 observations)",
         headers,
-        rows,
-    )
-
-
-def render_coverage_caveats(study: CorpusStudy) -> Optional[str]:
-    """Data dropped by analysis limits, or ``None`` when nothing was.
-
-    Rendered (by :func:`render_study`) only when a limit actually bit,
-    so reports over well-behaved corpora — including the pinned golden
-    reports — are unchanged, while runs that silently used to lose data
-    now say so.
-    """
-    if not (study.shape_limit_skipped or study.non_ctract_truncated):
-        return None
-    rows = [
-        (
-            "queries over the shape-node limit (structure pass skipped)",
-            f"{study.shape_limit_skipped:,}",
-        ),
-        (
-            "non-Ctract path expressions beyond the sample cap",
-            f"{study.non_ctract_truncated:,}",
-        ),
-    ]
-    return render_table(
-        "Coverage caveats: data dropped by analysis limits",
-        ("Limit", "Dropped"),
         rows,
     )
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from ..exceptions import SparqlSyntaxError
 
@@ -285,9 +285,3 @@ def tokenize(text: str) -> List[Token]:
             line += newlines
             line_start = text.rindex("\n", start, pos) + 1
 
-
-def iter_significant(tokens: List[Token]) -> Iterator[Token]:
-    """All tokens except EOF (convenience for feature counting)."""
-    for token in tokens:
-        if token.type != TokenType.EOF:
-            yield token

@@ -48,14 +48,7 @@ from ..analysis.snapshot import study_from_dict, study_to_dict
 from ..analysis.study import CorpusStudy
 from ..exceptions import StudySnapshotError, WarehouseError
 from ..reporting.reporters import render_report, study_long_rows
-from ..reporting.tables import (
-    render_table1_from_study,
-    render_table2,
-    render_table3,
-    render_table4,
-    render_table5,
-    render_table6_from_study,
-)
+from ..reporting.tables import REPORT_SECTIONS, render_text
 
 __all__ = [
     "TABLE_SECTIONS",
@@ -143,17 +136,6 @@ TABLE_SECTIONS: Dict[int, Tuple[str, ...]] = {
     4: ("table4:CQ", "table4:CQF", "table4:CQOF"),
     5: ("table5",),
     6: ("table6",),
-}
-
-#: Text renderers for the same table numbers (blocks of the full text
-#: report, so a served table is a byte-exact slice of ``repro report``).
-_TABLE_RENDERERS = {
-    1: render_table1_from_study,
-    2: render_table2,
-    3: render_table3,
-    4: render_table4,
-    5: render_table5,
-    6: render_table6_from_study,
 }
 
 #: Seconds SQLite waits on a locked database before giving up (the
@@ -537,17 +519,17 @@ class StudyWarehouse:
     def table_text(self, table: int) -> str:
         """Table *table* (1–6) as its text-report block.
 
-        The block is a byte-exact slice of the full text report (same
-        renderer, same study)."""
-        renderer = _TABLE_RENDERERS.get(table)
-        if renderer is None:
+        The block is the report section ``table{N}`` rendered as text,
+        so it is a byte-exact slice of the full text report."""
+        section = REPORT_SECTIONS.get(f"table{table}")
+        if section is None:
             raise WarehouseError(f"no such table {table} (the paper has tables 1-6)")
-        block = renderer(self._require_study())
-        if block is None:
+        blocks = section(self._require_study())
+        if not blocks:
             raise WarehouseError(
                 "table 6 has no data: no ingested study ran the streaks metric"
             )
-        return block
+        return render_text(blocks)
 
     # -- indexed queries ------------------------------------------------
 
@@ -617,27 +599,6 @@ class StudyWarehouse:
         items = [
             {"section": section, "row": row, "column": col, "value": value}
             for section, row, col, value in rows
-        ]
-        return total, items
-
-    def section_cells(
-        self, section: str, *, limit: int = 50, offset: int = 0
-    ) -> Tuple[int, List[Dict[str, str]]]:
-        """All cells of one long-format *section* (e.g. ``figure1``)."""
-        try:
-            total = self._connection.execute(
-                "SELECT COUNT(*) FROM cells WHERE section = ?", (section,)
-            ).fetchone()[0]
-            rows = self._connection.execute(
-                "SELECT section, row, col, value FROM cells WHERE section = ?"
-                " ORDER BY row, col LIMIT ? OFFSET ?",
-                (section, limit, offset),
-            ).fetchall()
-        except sqlite3.Error as error:
-            raise self._guard(error) from error
-        items = [
-            {"section": sec, "row": row, "column": col, "value": value}
-            for sec, row, col, value in rows
         ]
         return total, items
 

@@ -264,10 +264,6 @@ class _Vocabulary:
         """A profile-weighted entity IRI."""
         return f"<{self._rng.choice(self.entities)}>"
 
-    def class_iri(self) -> str:
-        """A profile-weighted class IRI."""
-        return f"<{self._rng.choice(self.classes)}>"
-
     def graph_iri(self) -> str:
         """A named-graph IRI."""
         return f"<{self._rng.choice(self.graphs)}>"

@@ -99,14 +99,6 @@ class GraphSchema:
                 return predicate
         raise WorkloadError(f"unknown predicate {name!r}")
 
-    def predicates_from(self, node_type: str) -> List[Predicate]:
-        """Predicates whose domain is *node_type*."""
-        return [p for p in self.predicates if p.source == node_type]
-
-    def predicates_into(self, node_type: str) -> List[Predicate]:
-        """Predicates whose range is *node_type*."""
-        return [p for p in self.predicates if p.target == node_type]
-
     def steps_from(self, node_type: str) -> List[Tuple[Predicate, bool, str]]:
         """All schema-graph steps leaving *node_type*, traversing
         predicates forward (False) or backward (True); the third field

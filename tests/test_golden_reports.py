@@ -1,7 +1,7 @@
 """Golden-report tests: rendered study output is pinned byte-for-byte.
 
 Small fixture logs live in ``tests/goldens/`` next to the expected
-``render_study`` / :mod:`repro.reporting.tables` output.  Any change to
+text report (:func:`repro.reporting.render_report`) output.  Any change to
 parsing, measurement, merge order, or table formatting shows up as a
 golden diff in review instead of slipping through silently.
 
@@ -20,8 +20,12 @@ import pytest
 from repro.analysis.parallel import build_query_logs_parallel
 from repro.analysis.study import CorpusStudy, study_corpus
 from repro.logs import build_query_log, dataset_name, iter_entries, read_entries
-from repro.reporting import render_report, render_study
-from repro.reporting.tables import render_dataset_highlights, render_table1
+from repro.reporting import (
+    render_dataset_highlights,
+    render_report,
+    render_text,
+    table1_section,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 FIXTURE_LOGS = [GOLDEN_DIR / "endpoint_a.log", GOLDEN_DIR / "endpoint_b.rq"]
@@ -56,14 +60,14 @@ class TestGoldenReports:
     def test_full_study_report(self, fixture_logs, update_goldens):
         study = study_corpus(fixture_logs)
         check_golden(
-            "study_report.txt", render_study(study, fixture_logs), update_goldens
+            "study_report.txt", render_report(study, "text"), update_goldens
         )
 
     def test_valid_corpus_report(self, fixture_logs, update_goldens):
         study = study_corpus(fixture_logs, dedup=False)
         check_golden(
             "study_report_valid.txt",
-            render_study(study, fixture_logs),
+            render_report(study, "text"),
             update_goldens,
         )
 
@@ -76,7 +80,8 @@ class TestGoldenReports:
         )
 
     def test_table1(self, fixture_logs, update_goldens):
-        check_golden("table1.txt", render_table1(fixture_logs), update_goldens)
+        study = study_corpus(fixture_logs)
+        check_golden("table1.txt", render_text(table1_section(study)), update_goldens)
 
     def test_study_snapshot_json(self, fixture_logs, update_goldens):
         """The serialized snapshot layout is pinned byte-for-byte: any
@@ -113,4 +118,4 @@ class TestGoldenReports:
         )
         study = study_corpus(logs, workers=2, chunk_size=3)
         expected = (GOLDEN_DIR / "study_report.txt").read_text(encoding="utf-8")
-        assert render_study(study, logs) == expected
+        assert render_report(study, "text") == expected

@@ -7,13 +7,7 @@ from repro.analysis.streaks import StreakAccumulator
 from repro.analysis.study import study_corpus
 from repro.engine import IndexedEngine, NestedLoopEngine
 from repro.logs import build_query_log, encode_access_log_line, iter_queries
-from repro.reporting import (
-    render_figure1,
-    render_table1,
-    render_table2,
-    render_table3,
-    render_table4,
-)
+from repro.reporting import REPORT_SECTIONS, render_text
 from repro.workload import (
     bib_schema,
     generate_corpus,
@@ -74,15 +68,9 @@ class TestFullPipeline:
             assert widths <= {0, 1, 2, 3}
 
     def test_renderers_run(self, mini_corpus_study):
-        logs, study = mini_corpus_study
-        for renderer, arg in (
-            (render_table1, logs),
-            (render_table2, study),
-            (render_figure1, study),
-            (render_table3, study),
-            (render_table4, study),
-        ):
-            assert renderer(arg)
+        _, study = mini_corpus_study
+        for name in ("table1", "table2", "figure1", "table3", "table4"):
+            assert render_text(REPORT_SECTIONS[name](study))
 
     def test_valid_study_weighting(self, mini_corpus_study):
         logs, unique_study = mini_corpus_study

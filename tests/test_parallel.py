@@ -27,7 +27,7 @@ from repro.analysis.study import (
     study_corpus,
 )
 from repro.logs import LogShard, ParseCache, build_query_log, process_entries
-from repro.reporting import render_study
+from repro.reporting import render_report
 from repro.sparql import serialize_query
 from repro.workload import generate_corpus
 
@@ -181,7 +181,7 @@ class TestStudyMerge:
             for shard in split_at(log.unique_queries(), cuts):
                 merged.merge(measure_chunk(name, shard))
         expected = serial_study()
-        assert render_study(merged, logs) == render_study(expected, logs)
+        assert render_report(merged, "text") == render_report(expected, "text")
         for name in logs:
             a, b = merged.datasets[name], expected.datasets[name]
             assert a.triple_hist == b.triple_hist
@@ -204,13 +204,13 @@ class TestStudyMerge:
     def test_workers4_byte_identical_report(self):
         logs = corpus_logs()
         parallel = study_corpus(logs, dedup=True, workers=4)
-        assert render_study(parallel, logs) == render_study(serial_study(), logs)
+        assert render_report(parallel, "text") == render_report(serial_study(), "text")
 
     def test_workers2_valid_corpus(self):
         logs = corpus_logs()
         serial = study_corpus(logs, dedup=False)
         parallel = study_corpus_parallel(logs, dedup=False, workers=2, chunk_size=5)
-        assert render_study(parallel, logs) == render_study(serial, logs)
+        assert render_report(parallel, "text") == render_report(serial, "text")
 
     def test_poolless_sharded_run_uses_temporary_pool(self, monkeypatch):
         # Without a pool the driver opens a temporary WorkerPool for the
@@ -232,7 +232,7 @@ class TestStudyMerge:
         )
         assert len(opened) == 1 and not opened[0].started  # closed again
         assert transport.chunks_shipped > 1
-        assert render_study(result, logs) == render_study(serial_study(), logs)
+        assert render_report(result, "text") == render_report(serial_study(), "text")
 
     def test_serial_fallback_is_executor_free(self, monkeypatch):
         # workers=1, and workers>1 on an input of one chunk, run the
@@ -255,7 +255,7 @@ class TestStudyMerge:
             assert result == study_corpus(expected, dedup=True)
         logs = corpus_logs()
         result = study_corpus_parallel(logs, dedup=True, workers=1, chunk_size=3)
-        assert render_study(result, logs) == render_study(serial_study(), logs)
+        assert render_report(result, "text") == render_report(serial_study(), "text")
 
     def test_merge_rejects_mixed_corpora(self):
         with pytest.raises(ValueError):
@@ -290,7 +290,7 @@ class TestMeasureQuery:
         folded.datasets[name].valid = log.valid
         folded.datasets[name].unique = log.unique
         single = study_corpus({name: log})
-        assert render_study(folded, {name: log}) == render_study(single, {name: log})
+        assert render_report(folded, "text") == render_report(single, "text")
 
     def test_weight_controls_multiplicity(self):
         log = build_query_log("t", ["ASK { ?s ?p ?o }"] * 3)

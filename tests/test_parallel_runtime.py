@@ -36,8 +36,7 @@ from repro.analysis.study import study_corpus
 from repro.api import AnalysisRequest, AnalysisSession
 from repro.cli import main
 from repro.logs import build_query_log, process_entries
-from repro.reporting import render_study
-from repro.reporting.tables import render_pass_profile
+from repro.reporting import render_pass_profile, render_report
 from repro.workload import generate_corpus, generate_day_log
 
 QUERIES = [
@@ -152,9 +151,8 @@ class TestTreeMergeInvariance:
         parts = partials()
         grouped = seeded(grouped_merge(parts, group_cuts)) if parts else seeded()
 
-        logs = {name: log}
-        assert render_study(fold, logs) == render_study(serial, logs)
-        assert render_study(grouped, logs) == render_study(serial, logs)
+        assert render_report(fold, "text") == render_report(serial, "text")
+        assert render_report(grouped, "text") == render_report(serial, "text")
         assert fold == serial
         assert grouped == serial
 
@@ -436,7 +434,7 @@ class TestPoolDriversByteIdentity:
         serial = study_corpus(logs, dedup=True)
         with WorkerPool(2) as pool:
             pooled = study_corpus(logs, dedup=True, pool=pool, chunk_size=7)
-        assert render_study(pooled, logs) == render_study(serial, logs)
+        assert render_report(pooled, "text") == render_report(serial, "text")
         assert pooled == serial
 
     def test_shard_merge_order_matches_stream(self):

@@ -15,8 +15,12 @@ from repro.analysis.passes import (
 from repro.analysis.study import CorpusStudy, DatasetStats, measure_query, study_corpus
 from repro.cli import main
 from repro.logs import build_query_log
-from repro.reporting import render_pass_profile, render_study
-from repro.reporting.tables import render_coverage_caveats
+from repro.reporting import (
+    caveats_section,
+    render_pass_profile,
+    render_report,
+    render_text,
+)
 
 QUERIES = [
     "SELECT DISTINCT ?x WHERE { ?x <urn:p> ?y FILTER(?y > 3) } LIMIT 7",
@@ -115,18 +119,15 @@ class TestCoverageCounters:
         )
         assert study.shape_limit_skipped == 1
         assert not study.shape_totals
-        caveats = render_coverage_caveats(study)
-        assert caveats is not None and "shape-node limit" in caveats
-        log = build_query_log("test", ["ASK { ?a <urn:p> ?b . ?b <urn:q> ?c }"])
-        assert "Coverage caveats" in render_study(study, {"test": log})
+        assert "shape-node limit" in render_text(caveats_section(study))
+        assert "Coverage caveats" in render_report(study, "text")
 
     def test_no_caveats_block_when_nothing_dropped(self):
         study = study_of(QUERIES)
         assert study.shape_limit_skipped == 0
         assert study.non_ctract_truncated == 0
-        assert render_coverage_caveats(study) is None
-        log = build_query_log("test", QUERIES)
-        assert "Coverage caveats" not in render_study(study, {"test": log})
+        assert caveats_section(study) == []
+        assert "Coverage caveats" not in render_report(study, "text")
 
     def test_non_ctract_truncation_counted(self):
         queries = [
@@ -135,7 +136,7 @@ class TestCoverageCounters:
         study = study_of(queries)
         assert len(study.non_ctract) == 100
         assert study.non_ctract_truncated == 20
-        assert "Coverage caveats" in render_study(study)
+        assert "Coverage caveats" in render_report(study, "text")
 
     def test_truncation_merge_matches_serial(self):
         # kept + truncated must be invariant under sharding: the merge
@@ -148,7 +149,7 @@ class TestCoverageCounters:
         sharded = study_corpus({"d": log}, workers=2, chunk_size=7)
         assert sharded.non_ctract == serial.non_ctract
         assert sharded.non_ctract_truncated == serial.non_ctract_truncated == 20
-        assert render_study(sharded, {"d": log}) == render_study(serial, {"d": log})
+        assert render_report(sharded, "text") == render_report(serial, "text")
 
     def test_shape_limit_skip_merges(self):
         queries = ["ASK { ?a <urn:p> ?b . ?b <urn:q> ?c }"] * 3 + [

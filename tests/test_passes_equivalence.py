@@ -25,7 +25,7 @@ from repro.analysis.shapes import classify_shape
 from repro.analysis.study import CorpusStudy, DatasetStats, study_corpus
 from repro.analysis.treewidth import treewidth
 from repro.logs import build_query_log
-from repro.reporting import render_study
+from repro.reporting import render_report
 from repro.sparql import ast, walk
 from repro.sparql.serializer import serialize_path
 
@@ -232,14 +232,14 @@ class TestPipelineEqualsMonolith:
         expected = legacy_study_corpus(logs, dedup=dedup)
         actual = study_corpus(logs, dedup=dedup)
         assert actual == expected
-        assert render_study(actual, logs) == render_study(expected, logs)
+        assert render_report(actual, "text") == render_report(expected, "text")
 
     def test_whole_pool_once(self):
         logs = build_logs(range(len(ENTRY_POOL)))
         expected = legacy_study_corpus(logs)
         actual = study_corpus(logs)
         assert actual == expected
-        assert render_study(actual, logs) == render_study(expected, logs)
+        assert render_report(actual, "text") == render_report(expected, "text")
 
     def test_valid_corpus_weights(self):
         picks = [0, 0, 0, 4, 4, 7, 8, 8, 8, 8, 2]

@@ -9,10 +9,13 @@ import pytest
 from repro.analysis.study import CorpusStudy, study_corpus
 from repro.logs import build_query_log
 from repro.reporting import (
+    REPORT_SECTIONS,
+    Table,
     get_reporter,
     register_reporter,
     render_report,
-    render_study,
+    render_text,
+    report_blocks,
     reporter_names,
 )
 from repro.reporting import reporters as reporters_module
@@ -95,15 +98,18 @@ class TestRegistry:
 
 
 class TestFormats:
-    def test_text_matches_legacy_render_study(self, study, logs):
-        # The contract that keeps goldens stable across the redesign.
-        assert render_report(study, "text") == render_study(study, logs)
+    def test_text_matches_legacy_render_study(self, study):
+        # The text report is what render_study built: each section
+        # rendered alone, in REPORT_SECTIONS order, one blank line apart
+        # (so every section is a slice, as the served table blocks need).
+        texts = [render_text(section(study)) for section in REPORT_SECTIONS.values()]
+        assert render_report(study, "text") == "\n\n".join(t for t in texts if t)
 
     def test_every_format_renders_nonempty(self, study):
         for name in reporter_names():
             output = render_report(study, name)
             assert output
-            if name != "text":  # text keeps render_study's no-trailing-\n shape
+            if name != "text":  # the text report has no trailing newline
                 assert output.endswith("\n")
 
     def test_json_is_a_loadable_snapshot(self, study):
@@ -138,17 +144,16 @@ class TestFormats:
         assert output.count("| --- |") >= 5
 
     def test_markdown_covers_every_text_report_section(self, study):
-        # Markdown must not silently drop measurements the text and
-        # csv reporters carry.
-        output = render_report(study, "markdown")
-        for heading in (
-            "## Table 1", "## Table 2", "## Figure 1", "## Table 3",
-            "## Sec 4.4", "## Sec 5.2", "## Figure 5", "## Table 4 (CQ)",
-            "## Table 4 (CQF)", "## Table 4 (CQOF)", "## Sec 6.1",
-            "## Sec 6.2", "## Table 5",
-        ):
-            assert heading in output, f"markdown report lacks {heading}"
-        assert "interface width > 1" in output
+        # Markdown carries every table of the text report: each title
+        # as a heading and each row, cell for cell, as a pipe-table row.
+        lines = set(render_report(study, "markdown").splitlines())
+        tables = [block for block in report_blocks(study) if isinstance(block, Table)]
+        assert len(tables) >= 14
+        for table in tables:
+            assert f"## {table.title}" in lines
+            for row in table.rows:
+                cells = [cell.replace("|", "\\|") for cell in row]
+                assert "| " + " | ".join(cells) + " |" in lines, (table.title, row)
 
     def test_reporters_are_pure(self, study):
         before = study.to_dict()

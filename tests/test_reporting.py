@@ -1,22 +1,26 @@
-"""Unit tests for the table/figure renderers."""
+"""Unit tests for the report sections and the table/figure renderers."""
 
 from repro.analysis.study import study_corpus
+from repro.api import analyze_corpora
 from repro.engine import QueryRunResult, WorkloadRunResult
 from repro.logs import build_query_log
 from repro.reporting import (
-    render_figure1,
+    Note,
+    Table,
+    figure1_section,
+    figure5_section,
+    fragments_section,
+    hypertree_section,
+    projection_section,
     render_figure3,
-    render_figure5,
-    render_fragments,
-    render_hypertree,
-    render_projection,
     render_table,
-    render_table1,
-    render_table2,
-    render_table3,
-    render_table4,
-    render_table5,
-    render_table6,
+    render_text,
+    table1_section,
+    table2_section,
+    table3_section,
+    table4_section,
+    table5_section,
+    table6_section,
 )
 
 
@@ -41,51 +45,51 @@ class TestRenderers:
         assert len(lines) == 6
 
     def test_table1(self):
-        logs, _ = sample_study()
-        text = render_table1(logs)
+        _, study = sample_study()
+        text = render_text(table1_section(study))
         assert "Table 1" in text
         assert "sample" in text
         assert "Total" in text
 
     def test_table2(self):
         _, study = sample_study()
-        text = render_table2(study)
+        text = render_text(table2_section(study))
         assert "Select" in text and "Ask" in text
         assert "%" in text
 
     def test_figure1(self):
         _, study = sample_study()
-        text = render_figure1(study)
+        text = render_text(figure1_section(study))
         assert "11+" in text
         assert "Avg#T" in text
         assert "S/A" in text
 
     def test_table3(self):
         _, study = sample_study()
-        text = render_table3(study)
+        text = render_text(table3_section(study))
         assert "CPF subtotal" in text
         assert "CPF+O" in text
         assert "other features" in text
 
     def test_projection(self):
         _, study = sample_study()
-        text = render_projection(study)
+        text = render_text(projection_section(study))
         assert "projection bounds" in text
 
     def test_fragments(self):
         _, study = sample_study()
-        text = render_fragments(study)
+        text = render_text(fragments_section(study))
         assert "AOF patterns" in text
         assert "CQOF" in text
 
     def test_figure5(self):
         _, study = sample_study()
-        text = render_figure5(study)
+        text = render_text(figure5_section(study))
         assert "11+" in text
 
     def test_table4(self):
         _, study = sample_study()
-        text = render_table4(study)
+        text = render_text(table4_section(study))
         assert "single edge" in text
         assert "flower set" in text
         assert "treewidth <= 2" in text
@@ -93,22 +97,25 @@ class TestRenderers:
 
     def test_table5(self):
         _, study = sample_study()
-        text = render_table5(study)
+        text = render_text(table5_section(study))
         assert "a*" in text
         assert "Ctract" in text
 
     def test_hypertree(self):
         _, study = sample_study()
-        text = render_hypertree(study)
+        text = render_text(hypertree_section(study))
         assert "Hypertree" in text or "hypertree" in text
 
     def test_table6(self):
-        histograms = {
-            "DBP'14": {"1-10": 5, "11-20": 1},
-            "DBP'15": {"1-10": 7, "11-20": 0},
-        }
-        text = render_table6(histograms)
-        assert "DBP'14" in text and "1-10" in text
+        _, study = sample_study()
+        assert table6_section(study) == []  # the streaks metric did not run
+        day = ["SELECT ?s WHERE { ?s <urn:p> ?o }"] * 3
+        result = analyze_corpora({"DBP'14": day}, metrics=("streaks",))
+        table, note = table6_section(result.study)
+        assert isinstance(table, Table) and isinstance(note, Note)
+        assert table.headers == ("Streak length", "DBP'14")
+        assert table.rows[0] == ("1-10", "1")
+        assert note.lines == ("longest streak: 3 queries",)
 
     def test_figure3(self):
         runs = (
@@ -125,8 +132,8 @@ class TestRenderers:
 
     def test_small_percentage_formatting(self):
         _, study = sample_study()
-        # Smoke-check the <0.01% path via render_table2 on tiny counts.
-        assert "%" in render_table2(study)
+        # Smoke-check the <0.01% path via Table 2 on tiny counts.
+        assert "%" in render_text(table2_section(study))
 
     def test_dataset_highlights(self):
         from repro.reporting import render_dataset_highlights

@@ -27,7 +27,7 @@ from repro.analysis.snapshot import (
 )
 from repro.api import AnalysisRequest, AnalysisSession, analyze_corpora, merge_studies
 from repro.exceptions import StudySnapshotError
-from repro.reporting import render_table6_from_study
+from repro.reporting import render_text, table6_section
 from repro.workload import generate_day_log
 
 
@@ -111,7 +111,7 @@ class TestFacadeEquivalence:
     def test_default_metrics_skip_streaks(self, day_log):
         result = analyze_corpora({"day": day_log[:40]})
         assert result.study.datasets["day"].streaks is None
-        assert render_table6_from_study(result.study) is None
+        assert table6_section(result.study) == []
 
     def test_unknown_metric_still_rejected(self):
         with pytest.raises(ValueError, match="unknown metrics"):
@@ -153,7 +153,7 @@ class TestFacadeEquivalence:
         accumulator = result.study.datasets["day"].streaks
         assert accumulator is not None
         assert accumulator.streak_count == 0
-        assert "Table 6" in render_table6_from_study(result.study)
+        assert "Table 6" in render_text(table6_section(result.study))
 
 
 class TestSnapshots:
@@ -169,8 +169,8 @@ class TestSnapshots:
         path = tmp_path / "study.json"
         streak_result.save(path)
         reloaded = load_study(path)
-        block = render_table6_from_study(reloaded)
-        assert block == render_table6_from_study(streak_result.study)
+        block = render_text(table6_section(reloaded))
+        assert block == render_text(table6_section(streak_result.study))
         assert block in streak_result.render("text")
 
     def test_shard_snapshots_stitch_to_full_run(
@@ -185,9 +185,7 @@ class TestSnapshots:
         merged = merge_studies([load_study(a), load_study(b)])
         full = streak_result.study.datasets["day"].streaks
         assert merged.datasets["day"].streaks == full
-        assert render_table6_from_study(merged) == render_table6_from_study(
-            streak_result.study
-        )
+        assert table6_section(merged) == table6_section(streak_result.study)
 
     def test_schema_is_bumped(self, streak_result):
         assert SCHEMA_VERSION == 3
@@ -247,7 +245,7 @@ class TestReporters:
     def test_markdown_report_contains_table6(self, streak_result):
         markdown = streak_result.render("markdown")
         assert "## Table 6: Length of streaks in single-day log files" in markdown
-        assert "Longest streak:" in markdown
+        assert "- longest streak:" in markdown
 
     def test_csv_report_contains_table6_rows(self, streak_result):
         rows = [

@@ -22,7 +22,7 @@ from repro.analysis.parallel import (
 from repro.analysis.study import study_corpus
 from repro.cli import main
 from repro.logs import build_query_log, iter_entries
-from repro.reporting import render_study
+from repro.reporting import render_report
 
 #: Pool of raw entries the random logs draw from: valid queries of
 #: assorted features, plus invalid text (Valid < Total, like real logs).
@@ -82,9 +82,7 @@ class TestStreamedEqualsMaterializedEqualsSerial:
         study_streamed = study_corpus_parallel(
             {"d": streamed}, workers=1, chunk_size=chunk_size
         )
-        assert render_study(study_streamed, {"d": streamed}) == render_study(
-            study_serial, {"d": serial}
-        )
+        assert render_report(study_streamed, "text") == render_report(study_serial, "text")
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -110,8 +108,8 @@ class TestStreamedEqualsMaterializedEqualsSerial:
         assert_logs_identical(streamed, serial)
         assert_logs_identical(materialized, serial)
         study = study_corpus_parallel({"d": streamed}, workers=2, chunk_size=4)
-        assert render_study(study, {"d": streamed}) == render_study(
-            study_corpus({"d": serial}), {"d": serial}
+        assert render_report(study, "text") == render_report(
+            study_corpus({"d": serial}), "text"
         )
 
     def test_all_duplicates_stream(self):
@@ -150,9 +148,7 @@ class TestStreamedEqualsMaterializedEqualsSerial:
             assert_logs_identical(streamed_logs[name], serial_logs[name])
         serial_study = study_corpus(serial_logs)
         streamed_study = study_corpus_parallel(streamed_logs, workers=2, chunk_size=2)
-        assert render_study(streamed_study, streamed_logs) == render_study(
-            serial_study, serial_logs
-        )
+        assert render_report(streamed_study, "text") == render_report(serial_study, "text")
 
 
 class TestImapBounded:

@@ -1045,6 +1045,21 @@ class TestWatchCli:
         assert "streak_threshold must be within [0, 1]" in capsys.readouterr().err
         assert not state.exists()
 
+    @pytest.mark.parametrize("interval", ["-1", "nan", "inf", "1e10"])
+    def test_watch_rejects_bad_interval(self, tmp_path, capsys, interval):
+        """An interval ``time.sleep`` cannot take exits 2 at parse time,
+        before any cycle runs or any state is written."""
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        write_lines(source, STREAM[:5])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["watch", str(source), "--state", str(state),
+                  "--cycles", "2", "--interval", interval])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--interval" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not state.exists()
+
     def test_watch_reports_truncation(self, tmp_path, capsys):
         source, state = tmp_path / "day.rq", tmp_path / "state"
         write_lines(source, STREAM[:5])
