@@ -7,6 +7,11 @@ the cache hit rate, and the cached/uncached comparison.  The CI
 bench-smoke job uploads the file as an artifact, so the perf
 trajectory of the analysis hot path is recorded per commit instead of
 scrolling away in job logs.
+
+It also counts the query walks: every pass reads one ``QueryFacts``
+record, so ``facts_walks`` may exceed ``queries`` only by the queries
+whose SERVICE clauses were stripped (their raw form is walked once
+more for Table 5).  CI gates that bound on the counts.
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ import os
 from pathlib import Path
 
 from _bench_utils import banner
+from repro.analysis import context
 from repro.analysis.context import AnalysisOptions
 from repro.analysis.study import study_corpus
+from repro.sparql import walk
 
 
 def profiled_run(corpus_logs, cache_size):
@@ -27,13 +34,35 @@ def profiled_run(corpus_logs, cache_size):
     return study.pass_profile
 
 
-def test_pass_profile_artifact(corpus_study, corpus_logs):
+def service_stripped(corpus_logs):
+    """Unique queries whose Wikidata view drops SERVICE clauses."""
+    return sum(
+        walk.strip_services(parsed.query) is not parsed.query
+        for name, log in corpus_logs.items()
+        if name.lower().startswith("wikidata")
+        for parsed in log.unique_queries()
+    )
+
+
+def test_pass_profile_artifact(corpus_study, corpus_logs, monkeypatch):
+    walks = []
+    query_facts = context.query_facts
+
+    def counting(query):
+        walks.append(query)
+        return query_facts(query)
+
+    monkeypatch.setattr(context, "query_facts", counting)
     cached = profiled_run(corpus_logs, cache_size=4096)
+    facts_walks = len(walks)
     uncached = profiled_run(corpus_logs, cache_size=0)
+    stripped = service_stripped(corpus_logs)
 
     lookups = cached.cache_hits + cached.cache_misses
     payload = {
         "queries": cached.queries,
+        "facts_walks": facts_walks,
+        "service_stripped": stripped,
         "passes": {
             name: round(seconds, 6)
             for name, seconds in sorted(cached.seconds.items())
@@ -66,6 +95,10 @@ def test_pass_profile_artifact(corpus_study, corpus_logs):
         f"total {cached.total_seconds:.4f}s vs "
         f"{uncached.total_seconds:.4f}s uncached"
     )
+    print(
+        f"  facts walks: {facts_walks} for {cached.queries} queries "
+        f"({stripped} SERVICE-stripped)"
+    )
     print(f"  wrote {out_path}")
 
     # The profiled pipeline measured the whole unique stream, and the
@@ -77,4 +110,5 @@ def test_pass_profile_artifact(corpus_study, corpus_logs):
         "shallow", "paths", "operators", "fragments", "structure",
     }
     assert lookups > 0
+    assert cached.queries <= facts_walks <= cached.queries + stripped
     assert out_path.exists()

@@ -27,6 +27,7 @@ from repro import (
     extract_features,
     hypertree_width,
     parse_query,
+    query_facts,
     treewidth,
 )
 from repro.api import analyze_corpora
@@ -52,9 +53,10 @@ def main() -> None:
     print(f"query type      : {query.query_type.value}")
 
     # ------------------------------------------------------------------
-    # 2. Shallow features (Table 2 semantics).
+    # 2. Shallow features (Table 2 semantics).  Every classifier reads
+    #    the query's facts, gathered in one walk.
     # ------------------------------------------------------------------
-    features = extract_features(query)
+    features = extract_features(query_facts(query))
     print(f"keywords        : {sorted(features.keywords)}")
     print(f"triples         : {features.triple_count}"
           f" (of which {features.path_pattern_count} property path)")
@@ -63,21 +65,21 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. Fragment + shape classification on a cyclic CQ.
     # ------------------------------------------------------------------
-    cycle = parse_query(
+    cycle = query_facts(parse_query(
         "ASK { ?a <urn:p> ?b . ?b <urn:q> ?c . ?c <urn:r> ?a }"
-    )
+    ))
     fragments = classify_fragments(cycle)
     print(f"\ncycle query is CQ={fragments.is_cq} CQF={fragments.is_cqf} "
           f"CQOF={fragments.is_cqof}")
-    graph_shape = classify_shape(canonical_graph(cycle.pattern))
+    graph_shape = classify_shape(canonical_graph(cycle))
     print(f"shape           : cycle={graph_shape.cycle} "
           f"flower={graph_shape.flower} girth={graph_shape.shortest_cycle}")
-    width = treewidth(canonical_graph(cycle.pattern))
+    width = treewidth(canonical_graph(cycle))
     print(f"treewidth       : {width.width} (exact={width.exact})")
 
     # Predicate variables force the hypergraph view (paper Example 5.1).
     tricky = parse_query("ASK { ?x1 ?x2 ?x3 . ?x3 <urn:a> ?x4 . ?x4 ?x2 ?x5 }")
-    hyper = hypertree_width(canonical_hypergraph(tricky.pattern))
+    hyper = hypertree_width(canonical_hypergraph(query_facts(tricky)))
     print(f"hypertree width : {hyper.width} "
           f"({hyper.node_count} decomposition nodes)")
 

@@ -10,7 +10,7 @@ flower set).  Finishes with the paper's Figure 7 treewidth-3 outlier.
 Run: ``python examples/shape_gallery.py``
 """
 
-from repro import canonical_graph, classify_shape, parse_query, treewidth
+from repro import canonical_graph, classify_shape, parse_query, query_facts, treewidth
 from repro.analysis.shapes import SHAPE_ORDER
 
 GALLERY = {
@@ -67,7 +67,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for label, text in GALLERY.items():
-        graph = canonical_graph(parse_query(text).pattern)
+        graph = canonical_graph(query_facts(parse_query(text)))
         profile = classify_shape(graph)
         memberships = profile.as_dict()
         row = " ".join(
@@ -77,7 +77,7 @@ def main() -> None:
         print(f"{label:<12} | {row} | {width:>3}")
 
     print("\nThe paper's treewidth-3 outlier (Figure 7):")
-    graph = canonical_graph(parse_query(FIGURE7).pattern)
+    graph = canonical_graph(query_facts(parse_query(FIGURE7)))
     result = treewidth(graph)
     profile = classify_shape(graph)
     print(f"  treewidth = {result.width} (exact={result.exact}); "

@@ -26,9 +26,9 @@ The stable programmatic surface is :mod:`repro.api`::
 
 Lower-level quickstart::
 
-    from repro import parse_query, classify_shape, canonical_graph
+    from repro import parse_query, query_facts, classify_shape, canonical_graph
     query = parse_query("ASK WHERE { ?x <urn:p> ?y . ?y <urn:p> ?x }")
-    shape = classify_shape(canonical_graph(query.pattern))
+    shape = classify_shape(canonical_graph(query_facts(query)))
     assert shape.cycle
 """
 
@@ -49,6 +49,7 @@ _EXPORTS: Dict[str, Tuple[str, ...]] = {
         "classify_shape",
         "extract_features",
         "hypertree_width",
+        "query_facts",
         "treewidth",
     ),
     "analysis.parallel": (
@@ -130,7 +131,7 @@ def __dir__() -> List[str]:
     return sorted(set(globals()) | set(__all__))
 
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "AnalysisRequest",
@@ -161,6 +162,7 @@ __all__ = [
     "classify_shape",
     "extract_features",
     "hypertree_width",
+    "query_facts",
     "treewidth",
     "CorpusStudy",
     "DatasetStats",

@@ -4,7 +4,6 @@ from .canonical import (
     Hypergraph,
     canonical_graph,
     canonical_hypergraph,
-    collect_triples,
     has_predicate_variable,
 )
 from .context import (
@@ -14,16 +13,9 @@ from .context import (
     graph_signature,
     hypergraph_signature,
 )
+from .facts import FilterFacts, QueryFacts, query_facts
 from .features import QueryFeatures, detect_projection, extract_features
-from .fragments import (
-    FragmentProfile,
-    classify_fragments,
-    is_aof,
-    is_cpf,
-    is_cq,
-    is_cqf,
-    is_simple_filter,
-)
+from .fragments import FragmentProfile, classify_fragments
 from .graphutil import Multigraph
 from .hypertree import HypertreeResult, hypertree_width
 from .operators import (
@@ -91,18 +83,15 @@ __all__ = [
     "Hypergraph",
     "canonical_graph",
     "canonical_hypergraph",
-    "collect_triples",
     "has_predicate_variable",
+    "FilterFacts",
+    "QueryFacts",
+    "query_facts",
     "QueryFeatures",
     "detect_projection",
     "extract_features",
     "FragmentProfile",
     "classify_fragments",
-    "is_aof",
-    "is_cpf",
-    "is_cq",
-    "is_cqf",
-    "is_simple_filter",
     "Multigraph",
     "HypertreeResult",
     "hypertree_width",

@@ -16,10 +16,10 @@ influence structure or cyclicity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Set
 
 from ..rdf.terms import BlankNode, Term, Variable
-from ..sparql import ast, walk
+from .facts import QueryFacts
 from .graphutil import Multigraph
 
 __all__ = [
@@ -27,28 +27,19 @@ __all__ = [
     "canonical_graph",
     "canonical_hypergraph",
     "has_predicate_variable",
-    "collect_triples",
 ]
 
 
-def collect_triples(pattern: Optional[ast.Pattern]) -> List[ast.TriplePattern]:
-    """All triple patterns of an AOF pattern, in document order."""
-    return list(walk.iter_triple_patterns(pattern, enter_subqueries=False))
-
-
-def has_predicate_variable(pattern: Optional[ast.Pattern]) -> bool:
+def has_predicate_variable(facts: QueryFacts) -> bool:
     """Does any triple pattern use a variable in predicate position?
 
     Such queries have no meaningful canonical graph (Example 5.1) and
     are analyzed through their hypergraph instead (§6.2).
     """
-    return any(
-        isinstance(triple.predicate, Variable)
-        for triple in collect_triples(pattern)
-    )
+    return any(isinstance(triple.predicate, Variable) for triple in facts.triples)
 
 
-def _equality_classes(pattern: Optional[ast.Pattern]) -> Dict[Term, Term]:
+def _equality_classes(facts: QueryFacts) -> Dict[Term, Term]:
     """Union-find representatives for ``?x = ?y`` filter collapsing."""
     parent: Dict[Term, Term] = {}
 
@@ -61,33 +52,21 @@ def _equality_classes(pattern: Optional[ast.Pattern]) -> Dict[Term, Term]:
             parent[term], term = root, parent[term]
         return root
 
-    def union(a: Term, b: Term) -> None:
-        """Union the equivalence classes of *a* and *b*."""
-        root_a, root_b = find(a), find(b)
-        if root_a != root_b:
-            parent[root_a] = root_b
-
-    for node in walk.iter_patterns(pattern, enter_subqueries=False):
-        if isinstance(node, ast.FilterPattern):
-            expression = node.expression
-            if (
-                isinstance(expression, ast.Comparison)
-                and expression.op == "="
-                and isinstance(expression.left, ast.TermExpression)
-                and isinstance(expression.left.term, Variable)
-                and isinstance(expression.right, ast.TermExpression)
-                and isinstance(expression.right.term, Variable)
-            ):
-                union(expression.left.term, expression.right.term)
+    for constraint in facts.filters:
+        if constraint.equality is not None:
+            root_a, root_b = map(find, constraint.equality)
+            if root_a != root_b:
+                parent[root_a] = root_b
     return {term: find(term) for term in parent}
 
 
 def canonical_graph(
-    pattern: Optional[ast.Pattern],
+    facts: QueryFacts,
     include_constants: bool = True,
     collapse_equalities: bool = True,
 ) -> Multigraph:
-    """Build the canonical graph of an AOF *graph pattern*.
+    """Build the canonical graph of the body behind *facts*, an AOF
+    *graph pattern*.
 
     Raises :class:`ValueError` when a triple pattern has a variable
     predicate (callers should test :func:`has_predicate_variable`).
@@ -98,7 +77,7 @@ def canonical_graph(
     or nothing, rather than an edge.
     """
     representatives = (
-        _equality_classes(pattern) if collapse_equalities else {}
+        _equality_classes(facts) if collapse_equalities else {}
     )
 
     def rep(term: Term) -> Term:
@@ -106,7 +85,7 @@ def canonical_graph(
         return representatives.get(term, term)
 
     graph = Multigraph()
-    for triple in collect_triples(pattern):
+    for triple in facts.triples:
         if isinstance(triple.predicate, Variable):
             raise ValueError(
                 "canonical graph undefined for predicate-variable triples"
@@ -206,10 +185,10 @@ class Hypergraph:
         return not edges
 
 
-def canonical_hypergraph(pattern: Optional[ast.Pattern]) -> Hypergraph:
-    """Build the canonical hypergraph of an AOF pattern (§5)."""
+def canonical_hypergraph(facts: QueryFacts) -> Hypergraph:
+    """Build the canonical hypergraph of the AOF body behind *facts* (§5)."""
     hypergraph = Hypergraph()
-    for triple in collect_triples(pattern):
+    for triple in facts.triples:
         members = frozenset(
             term
             for term in triple.terms()

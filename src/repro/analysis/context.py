@@ -2,9 +2,10 @@
 
 The analyzer passes of :mod:`repro.analysis.passes` share a number of
 expensive derivations: feature extraction, operator classification,
-fragment membership, the canonical graph (with and without constants)
-and the canonical hypergraph.  :class:`AnalysisContext` wraps one
-``(parsed query, dataset, weight)`` unit of work and computes each
+fragment membership, the canonical graph and the canonical hypergraph.
+All of them read one :class:`~repro.analysis.facts.QueryFacts` record,
+built by a single walk of the query.  :class:`AnalysisContext` wraps
+one ``(parsed query, dataset, weight)`` unit of work and computes each
 derivation **lazily, at most once** — a pass can ask for
 ``ctx.fragments`` without caring whether an earlier pass already did.
 
@@ -44,6 +45,7 @@ from .canonical import (
     canonical_hypergraph,
     has_predicate_variable,
 )
+from .facts import QueryFacts, query_facts
 from .features import QueryFeatures, extract_features
 from .fragments import FragmentProfile, classify_fragments
 from .graphutil import Multigraph
@@ -291,12 +293,13 @@ class AnalysisContext:
         "options",
         "cache",
         "_query",
+        "_facts",
+        "_raw_facts",
         "_features",
         "_operators",
         "_fragments",
         "_predicate_variable",
         "_graph",
-        "_graph_no_constants",
         "_hypergraph",
         "_structure",
         "_hypertree",
@@ -316,22 +319,18 @@ class AnalysisContext:
         self.options = options
         self.cache = cache
         self._query = _UNSET
+        self._facts = _UNSET
+        self._raw_facts = _UNSET
         self._features = _UNSET
         self._operators = _UNSET
         self._fragments = _UNSET
         self._predicate_variable = _UNSET
         self._graph = _UNSET
-        self._graph_no_constants = _UNSET
         self._hypergraph = _UNSET
         self._structure = _UNSET
         self._hypertree = _UNSET
 
     # -- AST-level derivations ------------------------------------------
-
-    @property
-    def raw_query(self) -> ast.Query:
-        """The query exactly as parsed (path analysis uses this)."""
-        return self.parsed.query
 
     @property
     def query(self) -> ast.Query:
@@ -345,52 +344,64 @@ class AnalysisContext:
         return self._query
 
     @property
+    def facts(self) -> QueryFacts:
+        """The one walk over the analysis view that every derivation
+        below reads."""
+        if self._facts is _UNSET:
+            self._facts = query_facts(self.query)
+        return self._facts
+
+    @property
+    def raw_facts(self) -> QueryFacts:
+        """Facts of the query exactly as parsed: Table 5 counts the
+        property paths inside SERVICE clauses too.  Only a query that
+        lost SERVICE clauses is walked a second time."""
+        if self._raw_facts is _UNSET:
+            raw = self.parsed.query
+            self._raw_facts = self.facts if self.query is raw else query_facts(raw)
+        return self._raw_facts
+
+    @property
     def features(self) -> QueryFeatures:
         """Shallow features of the query (Tables 1/2, Figure 1)."""
         if self._features is _UNSET:
-            self._features = extract_features(self.query)
+            self._features = extract_features(self.facts)
         return self._features
 
     @property
     def operators(self) -> OperatorClassification:
         """Operator-set classification of the query (Table 3)."""
         if self._operators is _UNSET:
-            self._operators = classify_operators(self.query)
+            self._operators = classify_operators(self.facts)
         return self._operators
 
     @property
     def fragments(self) -> FragmentProfile:
         """Fragment memberships of the query (sec 5.2)."""
         if self._fragments is _UNSET:
-            self._fragments = classify_fragments(self.query)
+            self._fragments = classify_fragments(self.facts)
         return self._fragments
 
     @property
     def predicate_variable(self) -> bool:
         """Whether any triple pattern has a variable predicate (sec 6.2)."""
         if self._predicate_variable is _UNSET:
-            self._predicate_variable = has_predicate_variable(self.query.pattern)
+            self._predicate_variable = has_predicate_variable(self.facts)
         return self._predicate_variable
 
     # -- Canonical structures -------------------------------------------
 
-    def graph(self, include_constants: bool = True) -> Multigraph:
-        """The canonical graph, memoized per constants mode."""
-        if include_constants:
-            if self._graph is _UNSET:
-                self._graph = canonical_graph(self.query.pattern)
-            return self._graph
-        if self._graph_no_constants is _UNSET:
-            self._graph_no_constants = canonical_graph(
-                self.query.pattern, include_constants=False
-            )
-        return self._graph_no_constants
+    def graph(self) -> Multigraph:
+        """The canonical graph, memoized."""
+        if self._graph is _UNSET:
+            self._graph = canonical_graph(self.facts)
+        return self._graph
 
     @property
     def hypergraph(self) -> Hypergraph:
         """The canonical hypergraph, memoized (sec 6.2)."""
         if self._hypergraph is _UNSET:
-            self._hypergraph = canonical_hypergraph(self.query.pattern)
+            self._hypergraph = canonical_hypergraph(self.facts)
         return self._hypergraph
 
     # -- Cached structure results ---------------------------------------

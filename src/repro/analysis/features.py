@@ -1,18 +1,20 @@
 """Per-query feature extraction (the paper's "shallow analysis", §4).
 
-Extracts, from a parsed query, everything Table 2 / Table 7 (keyword
-counts), Figure 1 / Figure 8 (triple counts), and §4.4 (subqueries,
-projection) need.  Features are computed on the AST — not by string
-matching — so e.g. ``And`` is only counted when a group actually joins
-two patterns and a ``?filter`` variable never looks like a keyword.
+Reads, from a query's :class:`~repro.analysis.facts.QueryFacts`,
+everything Table 2 / Table 7 (keyword counts), Figure 1 / Figure 8
+(triple counts), and §4.4 (subqueries, projection) need.  Features come
+from the AST — not from string matching — so e.g. ``And`` is only
+counted when a group actually joins two patterns and a ``?filter``
+variable never looks like a keyword.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Set
+from typing import FrozenSet, Optional
 
-from ..sparql import ast, walk
+from ..sparql import ast
+from .facts import QueryFacts
 
 __all__ = ["QueryFeatures", "extract_features", "KEYWORD_ORDER"]
 
@@ -25,14 +27,6 @@ KEYWORD_ORDER = (
     "Count", "Max", "Min", "Avg", "Sum",
     "Group By", "Having",
 )
-
-_AGGREGATE_KEYWORDS = {
-    "COUNT": "Count",
-    "MAX": "Max",
-    "MIN": "Min",
-    "AVG": "Avg",
-    "SUM": "Sum",
-}
 
 
 @dataclass
@@ -55,118 +49,18 @@ class QueryFeatures:
         return self.query_type in (ast.QueryType.SELECT, ast.QueryType.ASK)
 
 
-def extract_features(query: ast.Query) -> QueryFeatures:
-    """Compute the :class:`QueryFeatures` of *query*."""
-    keywords: Set[str] = set()
-    keywords.add(query.query_type.value.title())
-
-    triple_count = 0
-    path_count = 0
-    uses_subquery = False
-
-    _modifier_keywords(query.modifier, keywords)
-    _projection_keywords(query.projection, keywords)
-
-    for node in walk.iter_patterns(query.pattern):
-        if isinstance(node, ast.TriplePattern):
-            triple_count += 1
-        elif isinstance(node, ast.PathPattern):
-            triple_count += 1
-            path_count += 1
-        elif isinstance(node, ast.GroupPattern):
-            if _joins_patterns(node):
-                keywords.add("And")
-        elif isinstance(node, ast.UnionPattern):
-            keywords.add("Union")
-        elif isinstance(node, ast.OptionalPattern):
-            keywords.add("Opt")
-        elif isinstance(node, ast.GraphGraphPattern):
-            keywords.add("Graph")
-        elif isinstance(node, ast.MinusPattern):
-            keywords.add("Minus")
-        elif isinstance(node, ast.ServicePattern):
-            keywords.add("Service")
-        elif isinstance(node, ast.BindPattern):
-            keywords.add("Bind")
-            _expression_keywords(node.expression, keywords)
-        elif isinstance(node, ast.ValuesPattern):
-            keywords.add("Values")
-        elif isinstance(node, ast.FilterPattern):
-            keywords.add("Filter")
-            _expression_keywords(node.expression, keywords)
-        elif isinstance(node, ast.SubSelectPattern):
-            uses_subquery = True
-            subquery = node.query
-            keywords.add(subquery.query_type.value.title())
-            _modifier_keywords(subquery.modifier, keywords)
-            _projection_keywords(subquery.projection, keywords)
-
+def extract_features(facts: QueryFacts) -> QueryFeatures:
+    """The :class:`QueryFeatures` of the query behind *facts*."""
+    query = facts.query
     return QueryFeatures(
         query_type=query.query_type,
-        keywords=frozenset(keywords),
-        triple_count=triple_count,
-        path_pattern_count=path_count,
+        keywords=facts.keywords,
+        triple_count=facts.triple_count,
+        path_pattern_count=len(facts.paths),
         has_body=query.has_body(),
-        uses_subquery=uses_subquery,
-        uses_projection=detect_projection(query),
+        uses_subquery=ast.SubSelectPattern in facts.body_kinds,
+        uses_projection=detect_projection(facts),
     )
-
-
-def _joins_patterns(group: ast.GroupPattern) -> bool:
-    """True when the group genuinely conjoins ≥ 2 patterns (the paper
-    groups SPARQL's '.'/';' conjunction syntax under the And keyword)."""
-    joinable = 0
-    for element in group.elements:
-        if not isinstance(element, ast.FilterPattern):
-            joinable += 1
-            if joinable >= 2:
-                return True
-    return False
-
-
-def _modifier_keywords(modifier: ast.SolutionModifier, keywords: Set[str]) -> None:
-    if modifier.limit is not None:
-        keywords.add("Limit")
-    if modifier.offset is not None:
-        keywords.add("Offset")
-    if modifier.order_by:
-        keywords.add("Order By")
-        for condition in modifier.order_by:
-            _expression_keywords(condition.expression, keywords)
-    if modifier.group_by:
-        keywords.add("Group By")
-    if modifier.having:
-        keywords.add("Having")
-        for expression in modifier.having:
-            _expression_keywords(expression, keywords)
-
-
-def _projection_keywords(
-    projection: Optional[ast.Projection], keywords: Set[str]
-) -> None:
-    if projection is None:
-        return
-    if projection.distinct:
-        keywords.add("Distinct")
-    if projection.reduced:
-        keywords.add("Reduced")
-    for item in projection.items:
-        if isinstance(item, ast.ProjectionExpression):
-            _expression_keywords(item.expression, keywords)
-
-
-def _expression_keywords(expression: ast.Expression, keywords: Set[str]) -> None:
-    for node in walk.iter_expressions(expression):
-        if isinstance(node, ast.Aggregate):
-            keyword = _AGGREGATE_KEYWORDS.get(node.name)
-            if keyword is not None:
-                keywords.add(keyword)
-            elif node.name == "SAMPLE":
-                keywords.add("Sample")
-            elif node.name == "GROUP_CONCAT":
-                keywords.add("Group Concat")
-        elif isinstance(node, ast.ExistsExpression):
-            keywords.add("Not Exists" if node.negated else "Exists")
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +68,8 @@ def _expression_keywords(expression: ast.Expression, keywords: Set[str]) -> None
 # ---------------------------------------------------------------------------
 
 
-def detect_projection(query: ast.Query) -> Optional[bool]:
-    """Does *query* use projection?
+def detect_projection(facts: QueryFacts) -> Optional[bool]:
+    """Does the query behind *facts* use projection?
 
     Following §4.4 of the paper:
 
@@ -193,15 +87,16 @@ def detect_projection(query: ast.Query) -> Optional[bool]:
     Describe/Construct queries return ``False`` (projection is a
     Select/Ask concern in the paper's accounting).
     """
+    query = facts.query
     if query.query_type is ast.QueryType.ASK:
-        return bool(walk.pattern_variables(query.pattern))
+        return bool(facts.body_variables)
     if query.query_type is not ast.QueryType.SELECT:
         return False
     projection = query.projection
     assert projection is not None
     if projection.select_all:
         return False
-    body_vars = walk.pattern_variables(query.pattern)
+    body_vars = facts.body_variables
     selected = set(projection.variables())
     if selected >= body_vars:
         return False
@@ -209,11 +104,6 @@ def detect_projection(query: ast.Query) -> Optional[bool]:
     # "missing" variables come from Bind, in which case visibility rules
     # make the classification tool-dependent; mirror the paper and
     # report indeterminate.
-    bind_vars = {
-        node.variable
-        for node in walk.iter_patterns(query.pattern)
-        if isinstance(node, ast.BindPattern)
-    }
-    if body_vars - selected <= bind_vars:
+    if body_vars - selected <= facts.bind_variables:
         return None
     return True

@@ -75,7 +75,6 @@ append-only in sorted name order (the one-shot concatenation order).
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import io
 import json
@@ -84,7 +83,6 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
-    BinaryIO,
     Dict,
     List,
     Mapping,
@@ -98,11 +96,11 @@ from ..exceptions import StudySnapshotError, WarehouseError, WatchStateError
 from ..ioutils import atomic_write_text
 from ..logs.pipeline import ParsedQuery, QueryLog
 from ..logs.sources import (
-    _GZIP_MAGIC,
     _PARSERS,
     DETECT_LINES,
     dataset_name,
     detect_format,
+    open_binary,
     source_paths,
 )
 from .context import AnalysisOptions, StructureCache
@@ -158,21 +156,6 @@ def _stitch(
     for name in names:
         combined.merge(studies[name])
     return combined, study_long_rows(combined)
-
-
-def _open_logical(path: Path) -> BinaryIO:
-    """Open *path* as its logical byte stream (decompressing gzip).
-
-    Compression is recognized by magic bytes, like
-    :func:`repro.logs.sources.open_text`; gzip offsets therefore count
-    *decompressed* bytes, which stay stable when members are appended
-    (``gzip`` reads concatenated members as one stream).
-    """
-    with path.open("rb") as probe:
-        magic = probe.read(len(_GZIP_MAGIC))
-    if magic == _GZIP_MAGIC:
-        return gzip.open(path, "rb")
-    return path.open("rb")
 
 
 def _consumable_length(data: bytes, format: str, drain: bool) -> int:
@@ -262,7 +245,7 @@ class _SourceCursor:
         path = Path(self.path)
         hasher = hashlib.sha256()
         try:
-            stream = _open_logical(path)
+            stream = open_binary(path)
         except OSError as error:
             raise WatchStateError(
                 f"watched source {self.path}: unreadable ({error})"

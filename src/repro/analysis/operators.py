@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import FrozenSet, Tuple
 
-from ..sparql import ast, walk
+from ..sparql import ast
+from .facts import QueryFacts
 
 __all__ = [
     "Operator",
     "OperatorClassification",
     "classify_operators",
-    "OPERATOR_LETTERS",
     "TABLE3_ROWS",
 ]
 
@@ -33,14 +33,6 @@ class Operator(str, Enum):
     GRAPH = "G"
     UNION = "U"
 
-
-OPERATOR_LETTERS = {
-    Operator.AND: "A",
-    Operator.FILTER: "F",
-    Operator.OPT: "O",
-    Operator.GRAPH: "G",
-    Operator.UNION: "U",
-}
 
 #: The operator sets that get their own row in Table 3, in paper order.
 #: (frozensets of letters; "none" is the empty set.)
@@ -77,70 +69,40 @@ class OperatorClassification:
     @property
     def letters(self) -> FrozenSet[str]:
         """The operator set as paper letters (A, F, O, U, G)."""
-        return frozenset(OPERATOR_LETTERS[op] for op in self.operators)
-
-    def is_cpf(self) -> bool:
-        """Conjunctive pattern with filters (Definition 4.1): pure and
-        uses only And/Filter (or nothing)."""
-        return self.pure and self.operators <= {Operator.AND, Operator.FILTER}
-
-    def in_cpf_plus(self, extra: Operator) -> bool:
-        """Pure, uses *extra*, and otherwise only And/Filter (the
-        paper's CPF+O / CPF+G / CPF+U increments)."""
-        return (
-            self.pure
-            and extra in self.operators
-            and self.operators <= {Operator.AND, Operator.FILTER, extra}
-        )
+        return frozenset(op.value for op in self.operators)
 
 
-def classify_operators(query: ast.Query) -> OperatorClassification:
-    """Classify the body of *query* (Table 3 semantics).
+#: The pattern node classes that carry an O-operator.
+_OPERATOR_KINDS = {
+    ast.FilterPattern: Operator.FILTER,
+    ast.OptionalPattern: Operator.OPT,
+    ast.GraphGraphPattern: Operator.GRAPH,
+    ast.UnionPattern: Operator.UNION,
+}
+
+#: Node classes a pure body may contain: triple patterns, groups (And)
+#: and the other four operators of O.
+_PURE_KINDS = frozenset(_OPERATOR_KINDS) | {ast.TriplePattern, ast.GroupPattern}
+
+
+def classify_operators(facts: QueryFacts) -> OperatorClassification:
+    """Classify the body of the query behind *facts* (Table 3 semantics).
 
     A body-less query is pure with an empty operator set ("none" in
-    Table 3 includes queries without a body).
+    Table 3 includes queries without a body).  Property paths, Bind,
+    Values, Minus, Service and subqueries take a body outside O, and so
+    does a filter with EXISTS or an aggregate, which embeds more than
+    the plain operators.
     """
-    operators = set()
-    pure = True
-    for node in walk.iter_patterns(query.pattern, enter_subqueries=False):
-        if isinstance(node, ast.TriplePattern):
-            continue
-        if isinstance(node, ast.GroupPattern):
-            if _joins(node):
-                operators.add(Operator.AND)
-        elif isinstance(node, ast.FilterPattern):
-            operators.add(Operator.FILTER)
-            if _filter_has_exotic_parts(node.expression):
-                pure = False
-        elif isinstance(node, ast.OptionalPattern):
-            operators.add(Operator.OPT)
-        elif isinstance(node, ast.GraphGraphPattern):
-            operators.add(Operator.GRAPH)
-        elif isinstance(node, ast.UnionPattern):
-            operators.add(Operator.UNION)
-        else:
-            # PathPattern, BindPattern, ValuesPattern, MinusPattern,
-            # ServicePattern, SubSelectPattern: outside of O.
-            pure = False
+    operators = {
+        operator
+        for kind, operator in _OPERATOR_KINDS.items()
+        if kind in facts.body_kinds
+    }
+    if facts.body_joins:
+        operators.add(Operator.AND)
+    pure = facts.body_kinds <= _PURE_KINDS and not any(
+        constraint.has_exists or constraint.has_aggregate
+        for constraint in facts.filters
+    )
     return OperatorClassification(frozenset(operators), pure)
-
-
-def _joins(group: ast.GroupPattern) -> bool:
-    non_filter = 0
-    for element in group.elements:
-        if not isinstance(element, ast.FilterPattern):
-            non_filter += 1
-            if non_filter >= 2:
-                return True
-    return False
-
-
-def _filter_has_exotic_parts(expression: ast.Expression) -> bool:
-    """EXISTS / NOT EXISTS inside a filter embeds patterns, which takes
-    the query outside the plain O-operator fragment."""
-    for node in walk.iter_expressions(expression):
-        if isinstance(node, ast.ExistsExpression):
-            return True
-        if isinstance(node, ast.Aggregate):
-            return True
-    return False

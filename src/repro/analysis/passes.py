@@ -32,7 +32,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Protocol, Tuple
 
 from ..logs.pipeline import ParsedQuery
-from ..sparql import ast, walk
+from ..sparql import ast
 from ..sparql.serializer import serialize_path
 from .context import DEFAULT_OPTIONS, AnalysisContext, AnalysisOptions, StructureCache
 from .operators import TABLE3_ROWS
@@ -126,7 +126,7 @@ class PathsPass:
     def run(self, study, stats, ctx) -> None:
         """Classify every property path of the unstripped query."""
         weight = ctx.weight
-        for node in walk.iter_path_patterns(ctx.raw_query.pattern):
+        for node in ctx.raw_facts.paths:
             study.property_path_total += weight
             classification = classify_path(node.path)
             if not classification.navigational:

@@ -16,18 +16,8 @@ from .expressions import (
     effective_boolean_value,
     evaluate_expression,
 )
-from .results import (
-    boolean_to_json,
-    results_from_json,
-    results_to_csv,
-    results_to_json,
-)
 
 __all__ = [
-    "boolean_to_json",
-    "results_from_json",
-    "results_to_csv",
-    "results_to_json",
     "Engine",
     "IndexedEngine",
     "NestedLoopEngine",

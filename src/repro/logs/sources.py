@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import gzip
 import io
+import zlib
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .formats import iter_queries
 
@@ -48,6 +49,7 @@ __all__ = [
     "iter_entries",
     "iter_file_entries",
     "iter_text_lines",
+    "open_binary",
     "open_text",
     "read_entries",
     "source_paths",
@@ -65,23 +67,56 @@ DETECT_LINES = 4096
 _ACCESS_LOG_PROBE = 10
 
 
-def open_text(path: PathLike) -> io.TextIOBase:
-    """Open *path* as text, transparently decompressing gzip.
+class _CheckedGzip(io.RawIOBase):
+    """A gzip stream whose damage surfaces as
+    :class:`gzip.BadGzipFile`, an :class:`OSError` like every other
+    unreadable input, instead of ``EOFError`` (truncated data) or
+    ``zlib.error`` (corrupt deflate data)."""
+
+    def __init__(self, path: Path, inner: BinaryIO) -> None:
+        super().__init__()
+        self._path = path
+        self._inner = inner
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:  # type: ignore[override]
+        try:
+            return self._inner.readinto(buffer)
+        except (EOFError, zlib.error) as error:
+            raise gzip.BadGzipFile(
+                f"{self._path}: truncated or corrupt gzip data ({error})"
+            ) from None
+
+    def close(self) -> None:
+        self._inner.close()
+        super().close()
+
+
+def open_binary(path: PathLike) -> BinaryIO:
+    """Open *path* as its logical byte stream, decompressing gzip.
 
     Compression is recognized by magic bytes rather than extension, so
     a gzipped stream named ``endpoint.log`` still opens correctly.
-    Decoding matches the historical CLI reader: UTF-8 with
-    ``errors="replace"``, so byte junk in real logs cannot abort a run.
+    Concatenated gzip members read as one stream.  Truncated or corrupt
+    gzip data raises :class:`gzip.BadGzipFile` when read.
     """
     path = Path(path)
     with path.open("rb") as probe:
         magic = probe.read(len(_GZIP_MAGIC))
     if magic == _GZIP_MAGIC:
-        # gzip.open owns (and closes) its own underlying file handle.
-        return io.TextIOWrapper(
-            gzip.open(path, "rb"), encoding="utf-8", errors="replace"
-        )
-    return path.open("r", encoding="utf-8", errors="replace")
+        return io.BufferedReader(_CheckedGzip(path, gzip.open(path, "rb")))
+    return path.open("rb")
+
+
+def open_text(path: PathLike) -> io.TextIOBase:
+    """Open *path* as text via :func:`open_binary`.
+
+    Decoding matches the historical CLI reader: UTF-8 with
+    ``errors="replace"``, so byte junk in real logs cannot abort a run.
+    """
+    return io.TextIOWrapper(open_binary(path), encoding="utf-8", errors="replace")
 
 
 def iter_text_lines(path: PathLike) -> Iterator[str]:

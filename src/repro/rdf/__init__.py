@@ -1,11 +1,11 @@
-"""RDF data model: terms, triples, graphs, namespaces.
+"""RDF data model: terms, triples, graphs, well-known prefixes.
 
 Paper mapping: the RDF preliminaries of sec 3, backing the Figure 3
 engines and the synthetic corpus.
 """
 
 from .graph import Graph
-from .namespaces import WELL_KNOWN_PREFIXES, Namespace, NamespaceManager
+from .namespaces import WELL_KNOWN_PREFIXES
 from .terms import (
     IRI,
     XSD_BOOLEAN,
@@ -22,8 +22,6 @@ from .terms import (
 
 __all__ = [
     "Graph",
-    "Namespace",
-    "NamespaceManager",
     "WELL_KNOWN_PREFIXES",
     "IRI",
     "BlankNode",

@@ -1,54 +1,17 @@
-"""Namespace and prefix management.
+"""Well-known prefixes.
 
-SPARQL queries abbreviate IRIs with ``PREFIX`` declarations; the parser
-expands prefixed names through a :class:`NamespaceManager`.  This module
-also ships the well-known vocabularies that appear throughout the logs
-studied by the paper (rdf, rdfs, owl, foaf, dbo, wdt, …) so that example
-queries and generated workloads read naturally.
+SPARQL queries abbreviate IRIs with ``PREFIX`` declarations.  This
+module ships the well-known vocabularies that appear throughout the
+logs studied by the paper (rdf, rdfs, owl, foaf, dbo, wdt, …); the log
+pipeline lets the parser expand them without a declaration, as the
+endpoints did.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict
 
-from .terms import IRI
-
-__all__ = ["Namespace", "NamespaceManager", "WELL_KNOWN_PREFIXES"]
-
-
-class Namespace:
-    """A convenience factory for IRIs under a common base.
-
-    >>> FOAF = Namespace("http://xmlns.com/foaf/0.1/")
-    >>> FOAF.name
-    IRI(value='http://xmlns.com/foaf/0.1/name')
-    """
-
-    def __init__(self, base: str) -> None:
-        self._base = base
-
-    @property
-    def base(self) -> str:
-        """The namespace IRI string."""
-        return self._base
-
-    def term(self, local: str) -> IRI:
-        """The IRI of *local* inside this namespace."""
-        return IRI(self._base + local)
-
-    def __getattr__(self, local: str) -> IRI:
-        if local.startswith("_"):
-            raise AttributeError(local)
-        return self.term(local)
-
-    def __getitem__(self, local: str) -> IRI:
-        return self.term(local)
-
-    def __contains__(self, iri: IRI) -> bool:
-        return isinstance(iri, IRI) and iri.value.startswith(self._base)
-
-    def __repr__(self) -> str:
-        return f"Namespace({self._base!r})"
+__all__ = ["WELL_KNOWN_PREFIXES"]
 
 
 #: Prefixes that real SPARQL endpoints (and the paper's logs) use heavily.
@@ -73,69 +36,3 @@ WELL_KNOWN_PREFIXES: Dict[str, str] = {
     "swrc": "http://swrc.ontoware.org/ontology#",
     "bio": "http://purl.org/vocab/bio/0.1/",
 }
-
-
-class NamespaceManager:
-    """Bidirectional prefix ↔ namespace mapping.
-
-    Used by the parser to expand prefixed names and by the serializer to
-    compact IRIs back into readable form.
-    """
-
-    def __init__(self, initial: Optional[Dict[str, str]] = None) -> None:
-        self._prefix_to_ns: Dict[str, str] = {}
-        self._ns_to_prefix: Dict[str, str] = {}
-        if initial:
-            for prefix, namespace in initial.items():
-                self.bind(prefix, namespace)
-
-    @classmethod
-    def with_well_known(cls) -> "NamespaceManager":
-        """A manager preloaded with the well-known prefixes."""
-        return cls(WELL_KNOWN_PREFIXES)
-
-    def bind(self, prefix: str, namespace: str) -> None:
-        """Bind *prefix* to *namespace*, replacing any previous binding."""
-        old = self._prefix_to_ns.get(prefix)
-        if old is not None and self._ns_to_prefix.get(old) == prefix:
-            del self._ns_to_prefix[old]
-        self._prefix_to_ns[prefix] = namespace
-        # First prefix bound to a namespace wins for compaction.
-        self._ns_to_prefix.setdefault(namespace, prefix)
-
-    def expand(self, prefix: str, local: str) -> IRI:
-        """Expand ``prefix:local`` to an absolute IRI.
-
-        Raises :class:`KeyError` if the prefix is unbound, which the
-        SPARQL parser converts into a syntax error.
-        """
-        return IRI(self._prefix_to_ns[prefix] + local)
-
-    def namespace_for(self, prefix: str) -> Optional[str]:
-        """The namespace bound to *prefix*, or ``None``."""
-        return self._prefix_to_ns.get(prefix)
-
-    def compact(self, iri: IRI) -> Optional[str]:
-        """Return ``prefix:local`` for *iri* if a binding matches."""
-        best: Optional[Tuple[str, str]] = None
-        for namespace, prefix in self._ns_to_prefix.items():
-            if iri.value.startswith(namespace):
-                if best is None or len(namespace) > len(best[0]):
-                    best = (namespace, prefix)
-        if best is None:
-            return None
-        namespace, prefix = best
-        local = iri.value[len(namespace):]
-        if "/" in local or "#" in local or not local:
-            return None
-        return f"{prefix}:{local}"
-
-    def bindings(self) -> Iterator[Tuple[str, str]]:
-        """All (prefix, namespace) bindings, in insertion order."""
-        return iter(sorted(self._prefix_to_ns.items()))
-
-    def __len__(self) -> int:
-        return len(self._prefix_to_ns)
-
-    def __contains__(self, prefix: str) -> bool:
-        return prefix in self._prefix_to_ns

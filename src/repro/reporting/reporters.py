@@ -38,7 +38,7 @@ from typing import (
 
 from ..analysis.study import CorpusStudy
 from ..exceptions import ReporterRegistrationError
-from .tables import Table, render_text, report_blocks, table1_rows
+from .tables import REPORT_SECTIONS, Table, render_text, report_blocks, table1_rows
 
 __all__ = [
     "Reporter",
@@ -345,14 +345,23 @@ class MarkdownReporter:
         """Render the markdown report."""
         corpus = "Unique" if study.dedup else "Valid"
         parts = [f"# SPARQL log study ({corpus} corpus)"]
-        for block in report_blocks(study):
-            if isinstance(block, Table):
-                lines = [f"## {block.title}", "", _md_row(block.headers),
-                         _md_row("---" for _ in block.headers)]
-                lines.extend(_md_row(row) for row in block.rows)
-            else:
-                lines = [_md_item(line) for line in block.lines]
-            parts.append("\n".join(lines))
+        for section in REPORT_SECTIONS.values():
+            blocks = section(study)
+            tables = [block for block in blocks if isinstance(block, Table)]
+            # A section's first table title heads the whole section, so
+            # a note that leads it (Table 5's preamble) sits under it.
+            if tables:
+                parts.append(f"## {tables[0].title}")
+            for block in blocks:
+                if isinstance(block, Table):
+                    if block is not tables[0]:
+                        parts.append(f"## {block.title}")
+                    lines = [_md_row(block.headers),
+                             _md_row("---" for _ in block.headers)]
+                    lines.extend(_md_row(row) for row in block.rows)
+                else:
+                    lines = [_md_item(line) for line in block.lines]
+                parts.append("\n".join(lines))
         return "\n\n".join(parts) + "\n"
 
 

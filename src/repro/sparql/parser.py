@@ -17,10 +17,9 @@ Total from Valid in Table 1; the paper used Jena 3.0.1).
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..exceptions import SparqlSyntaxError
-from ..rdf.namespaces import NamespaceManager
 from ..rdf.terms import (
     IRI,
     XSD_BOOLEAN,
@@ -84,7 +83,7 @@ class Parser:
     def __init__(self, text: str, extra_prefixes: Optional[dict] = None) -> None:
         self._tokens = tokenize(text)
         self._pos = 0
-        self._namespaces = NamespaceManager(extra_prefixes or {})
+        self._namespaces: Dict[str, str] = dict(extra_prefixes or {})
         self._base: Optional[str] = None
         self._prefix_decls: List[Tuple[str, str]] = []
         self._bnode_counter = itertools.count()
@@ -176,7 +175,7 @@ class Parser:
                     raise self._error("expected IRI after PREFIX")
                 self._next()
                 namespace = self._resolve_iri(iri_token.value)
-                self._namespaces.bind(prefix, namespace)
+                self._namespaces[prefix] = namespace
                 self._prefix_decls.append((prefix, namespace))
             elif token.is_keyword("BASE"):
                 self._next()
@@ -690,7 +689,7 @@ class Parser:
         if token.type == TokenType.PNAME:
             self._next()
             prefix, _, local = token.value.partition(":")
-            namespace = self._namespaces.namespace_for(prefix)
+            namespace = self._namespaces.get(prefix)
             if namespace is None:
                 raise self._error(f"undeclared prefix {prefix!r}", token)
             local = local.replace("\\", "")

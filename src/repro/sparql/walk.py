@@ -1,8 +1,9 @@
 """Generic AST traversal utilities.
 
-Every analysis in the library walks the pattern tree in some way; this
-module centralizes the traversal logic so each analysis is a small
-function over the streams yielded here.
+The analyzer passes read one walk per query
+(:func:`repro.analysis.facts.query_facts`); these primitives serve that
+walk, the well-designedness checks and the query rewrite that strips
+SERVICE clauses.
 
 Paper mapping: traversal primitives under the keyword/operator/path
 analyses (Tables 2/3/5).
@@ -17,13 +18,9 @@ from . import ast
 
 __all__ = [
     "iter_patterns",
-    "iter_triple_patterns",
-    "iter_path_patterns",
     "iter_expressions",
-    "iter_subqueries",
     "pattern_variables",
     "expression_variables",
-    "query_variables",
     "strip_services",
 ]
 
@@ -66,24 +63,6 @@ def _iter_exists(expression: ast.Expression) -> Iterator[ast.ExistsExpression]:
             yield sub
 
 
-def iter_triple_patterns(
-    pattern: Optional[ast.Pattern], enter_subqueries: bool = True
-) -> Iterator[ast.TriplePattern]:
-    """Every triple pattern in the tree, in syntactic order."""
-    for node in iter_patterns(pattern, enter_subqueries):
-        if isinstance(node, ast.TriplePattern):
-            yield node
-
-
-def iter_path_patterns(
-    pattern: Optional[ast.Pattern], enter_subqueries: bool = True
-) -> Iterator[ast.PathPattern]:
-    """Every property-path pattern in the tree, in syntactic order."""
-    for node in iter_patterns(pattern, enter_subqueries):
-        if isinstance(node, ast.PathPattern):
-            yield node
-
-
 def iter_expressions(expression: ast.Expression) -> Iterator[ast.Expression]:
     """Depth-first pre-order iteration over expression nodes (does not
     descend into EXISTS patterns — use :func:`iter_patterns` for that)."""
@@ -108,13 +87,6 @@ def iter_expressions(expression: ast.Expression) -> Iterator[ast.Expression]:
         elif isinstance(node, ast.Aggregate):
             if node.expression is not None:
                 stack.append(node.expression)
-
-
-def iter_subqueries(query: ast.Query) -> Iterator[ast.Query]:
-    """All subqueries (SubSelect patterns) nested anywhere in *query*."""
-    for node in iter_patterns(query.pattern, enter_subqueries=True):
-        if isinstance(node, ast.SubSelectPattern):
-            yield node.query
 
 
 def expression_variables(expression: ast.Expression) -> Set[Variable]:
@@ -161,21 +133,6 @@ def pattern_variables(pattern: Optional[ast.Pattern]) -> Set[Variable]:
             projection = node.query.projection
             if projection is not None and not projection.select_all:
                 variables.update(projection.variables())
-    return variables
-
-
-def query_variables(query: ast.Query) -> Set[Variable]:
-    """All variables of the query body plus projection/modifier heads."""
-    variables = pattern_variables(query.pattern)
-    if query.projection is not None and not query.projection.select_all:
-        for item in query.projection.items:
-            if isinstance(item, Variable):
-                variables.add(item)
-            else:
-                variables.add(item.variable)
-                variables |= expression_variables(item.expression)
-    if query.values is not None:
-        variables.update(query.values.variables)
     return variables
 
 

@@ -20,6 +20,13 @@ program never runs them:
   one whole document, which :class:`repro.analysis.incremental.WatchSession`
   now assembles from memoized per-dataset fragments; the tests require
   the same bytes after every cycle.
+* :func:`features_reference`, :func:`operators_reference`,
+  :func:`fragments_reference`, :func:`predicate_variable_reference`,
+  :func:`canonical_graph_reference`, :func:`canonical_hypergraph_reference`
+  and :func:`path_patterns_reference` — the query classifiers as they
+  were before the passes read one
+  :class:`repro.analysis.facts.QueryFacts` record: each walks the query
+  on its own.  The record must give the same answers on every query.
 
 Both ``tests/`` and ``benchmarks/`` import this module.
 """
@@ -30,7 +37,12 @@ import json
 import re
 from typing import Dict, Iterable, List, Optional
 
+from repro.analysis.canonical import Hypergraph
+from repro.analysis.features import QueryFeatures
+from repro.analysis.fragments import FragmentProfile
+from repro.analysis.graphutil import Multigraph
 from repro.analysis.incremental import CHECKPOINT_KIND, CHECKPOINT_SCHEMA_VERSION
+from repro.analysis.operators import Operator, OperatorClassification
 from repro.analysis.snapshot import study_to_dict
 from repro.analysis.streaks import (
     BUCKET_LABELS,
@@ -40,14 +52,30 @@ from repro.analysis.streaks import (
     bucket_label,
     prepared_similar,
 )
+from repro.analysis.welldesigned import (
+    build_pattern_tree,
+    interface_width,
+    is_well_designed,
+    to_binary_algebra,
+)
 from repro.exceptions import SparqlSyntaxError
+from repro.rdf.terms import BlankNode, Variable
+from repro.sparql import ast, walk
 from repro.sparql.tokenizer import Token, TokenType
 
 __all__ = [
     "_levenshtein_banded",
     "_levenshtein_full",
     "_similar_reference",
+    "canonical_graph_reference",
+    "canonical_hypergraph_reference",
     "checkpoint_text_reference",
+    "features_reference",
+    "fragments_reference",
+    "operators_reference",
+    "path_patterns_reference",
+    "predicate_variable_reference",
+    "simple_filter_reference",
     "streak_histogram_reference",
     "streaks_reference",
     "tokenize_reference",
@@ -444,3 +472,346 @@ def checkpoint_text_reference(session) -> str:
         },
     }
     return json.dumps(document, separators=(",", ":")) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Walker-based query classifiers: each predicate walks the query itself,
+# as the passes did before they read one QueryFacts record.
+# ---------------------------------------------------------------------------
+
+_AGGREGATE_KEYWORDS_REFERENCE = {
+    "COUNT": "Count",
+    "MAX": "Max",
+    "MIN": "Min",
+    "AVG": "Avg",
+    "SUM": "Sum",
+}
+
+
+def path_patterns_reference(pattern):
+    """Every property-path pattern in the tree, subqueries included, in
+    syntactic order."""
+    return [
+        node for node in walk.iter_patterns(pattern)
+        if isinstance(node, ast.PathPattern)
+    ]
+
+
+def _triples_reference(pattern):
+    return [
+        node for node in walk.iter_patterns(pattern, enter_subqueries=False)
+        if isinstance(node, ast.TriplePattern)
+    ]
+
+
+def features_reference(query):
+    """:class:`QueryFeatures` of *query*, from its own walks."""
+    keywords = set()
+    keywords.add(query.query_type.value.title())
+
+    triple_count = 0
+    path_count = 0
+    uses_subquery = False
+
+    _modifier_keywords_reference(query.modifier, keywords)
+    _projection_keywords_reference(query.projection, keywords)
+
+    for node in walk.iter_patterns(query.pattern):
+        if isinstance(node, ast.TriplePattern):
+            triple_count += 1
+        elif isinstance(node, ast.PathPattern):
+            triple_count += 1
+            path_count += 1
+        elif isinstance(node, ast.GroupPattern):
+            if _joins_reference(node):
+                keywords.add("And")
+        elif isinstance(node, ast.UnionPattern):
+            keywords.add("Union")
+        elif isinstance(node, ast.OptionalPattern):
+            keywords.add("Opt")
+        elif isinstance(node, ast.GraphGraphPattern):
+            keywords.add("Graph")
+        elif isinstance(node, ast.MinusPattern):
+            keywords.add("Minus")
+        elif isinstance(node, ast.ServicePattern):
+            keywords.add("Service")
+        elif isinstance(node, ast.BindPattern):
+            keywords.add("Bind")
+            _expression_keywords_reference(node.expression, keywords)
+        elif isinstance(node, ast.ValuesPattern):
+            keywords.add("Values")
+        elif isinstance(node, ast.FilterPattern):
+            keywords.add("Filter")
+            _expression_keywords_reference(node.expression, keywords)
+        elif isinstance(node, ast.SubSelectPattern):
+            uses_subquery = True
+            subquery = node.query
+            keywords.add(subquery.query_type.value.title())
+            _modifier_keywords_reference(subquery.modifier, keywords)
+            _projection_keywords_reference(subquery.projection, keywords)
+
+    return QueryFeatures(
+        query_type=query.query_type,
+        keywords=frozenset(keywords),
+        triple_count=triple_count,
+        path_pattern_count=path_count,
+        has_body=query.has_body(),
+        uses_subquery=uses_subquery,
+        uses_projection=_projection_reference(query),
+    )
+
+
+def _joins_reference(group):
+    joinable = 0
+    for element in group.elements:
+        if not isinstance(element, ast.FilterPattern):
+            joinable += 1
+            if joinable >= 2:
+                return True
+    return False
+
+
+def _modifier_keywords_reference(modifier, keywords):
+    if modifier.limit is not None:
+        keywords.add("Limit")
+    if modifier.offset is not None:
+        keywords.add("Offset")
+    if modifier.order_by:
+        keywords.add("Order By")
+        for condition in modifier.order_by:
+            _expression_keywords_reference(condition.expression, keywords)
+    if modifier.group_by:
+        keywords.add("Group By")
+    if modifier.having:
+        keywords.add("Having")
+        for expression in modifier.having:
+            _expression_keywords_reference(expression, keywords)
+
+
+def _projection_keywords_reference(projection, keywords):
+    if projection is None:
+        return
+    if projection.distinct:
+        keywords.add("Distinct")
+    if projection.reduced:
+        keywords.add("Reduced")
+    for item in projection.items:
+        if isinstance(item, ast.ProjectionExpression):
+            _expression_keywords_reference(item.expression, keywords)
+
+
+def _expression_keywords_reference(expression, keywords):
+    for node in walk.iter_expressions(expression):
+        if isinstance(node, ast.Aggregate):
+            keyword = _AGGREGATE_KEYWORDS_REFERENCE.get(node.name)
+            if keyword is not None:
+                keywords.add(keyword)
+            elif node.name == "SAMPLE":
+                keywords.add("Sample")
+            elif node.name == "GROUP_CONCAT":
+                keywords.add("Group Concat")
+        elif isinstance(node, ast.ExistsExpression):
+            keywords.add("Not Exists" if node.negated else "Exists")
+
+
+def _projection_reference(query):
+    """§4.4 projection use: True, False, or None when only Bind
+    variables are missing from the selection."""
+    if query.query_type is ast.QueryType.ASK:
+        return bool(walk.pattern_variables(query.pattern))
+    if query.query_type is not ast.QueryType.SELECT:
+        return False
+    projection = query.projection
+    assert projection is not None
+    if projection.select_all:
+        return False
+    body_vars = walk.pattern_variables(query.pattern)
+    selected = set(projection.variables())
+    if selected >= body_vars:
+        return False
+    bind_vars = {
+        node.variable
+        for node in walk.iter_patterns(query.pattern)
+        if isinstance(node, ast.BindPattern)
+    }
+    if body_vars - selected <= bind_vars:
+        return None
+    return True
+
+
+def operators_reference(query):
+    """Table 3 :class:`OperatorClassification` of *query*'s body."""
+    operators = set()
+    pure = True
+    for node in walk.iter_patterns(query.pattern, enter_subqueries=False):
+        if isinstance(node, ast.TriplePattern):
+            continue
+        if isinstance(node, ast.GroupPattern):
+            if _joins_reference(node):
+                operators.add(Operator.AND)
+        elif isinstance(node, ast.FilterPattern):
+            operators.add(Operator.FILTER)
+            if any(
+                isinstance(sub, (ast.ExistsExpression, ast.Aggregate))
+                for sub in walk.iter_expressions(node.expression)
+            ):
+                pure = False
+        elif isinstance(node, ast.OptionalPattern):
+            operators.add(Operator.OPT)
+        elif isinstance(node, ast.GraphGraphPattern):
+            operators.add(Operator.GRAPH)
+        elif isinstance(node, ast.UnionPattern):
+            operators.add(Operator.UNION)
+        else:
+            pure = False
+    return OperatorClassification(frozenset(operators), pure)
+
+
+def _contains_exists_reference(expression):
+    return any(
+        isinstance(node, ast.ExistsExpression)
+        for node in walk.iter_expressions(expression)
+    )
+
+
+def simple_filter_reference(expression):
+    """§5.2: vars(R) has at most one variable (and no EXISTS), or R is
+    ``?x = ?y``."""
+    variables = walk.expression_variables(expression)
+    if len(variables) <= 1:
+        return not _contains_exists_reference(expression)
+    return _equality_reference(expression) is not None
+
+
+def _equality_reference(expression):
+    if (
+        isinstance(expression, ast.Comparison)
+        and expression.op == "="
+        and isinstance(expression.left, ast.TermExpression)
+        and isinstance(expression.left.term, Variable)
+        and isinstance(expression.right, ast.TermExpression)
+        and isinstance(expression.right.term, Variable)
+    ):
+        return expression.left.term, expression.right.term
+    return None
+
+
+def _body_uses_only_reference(pattern, allowed):
+    if pattern is None:
+        return False
+    for node in walk.iter_patterns(pattern, enter_subqueries=False):
+        if isinstance(node, (ast.GroupPattern, ast.TriplePattern)):
+            continue
+        if isinstance(node, allowed):
+            if isinstance(node, ast.FilterPattern) and _contains_exists_reference(
+                node.expression
+            ):
+                return False
+            continue
+        return False
+    return True
+
+
+def fragments_reference(query):
+    """§5.2 :class:`FragmentProfile` of *query*, from its own walks."""
+    pattern = query.pattern
+    if query.query_type not in (ast.QueryType.SELECT, ast.QueryType.ASK):
+        pattern = None
+    if not _body_uses_only_reference(
+        pattern, (ast.FilterPattern, ast.OptionalPattern)
+    ):
+        return FragmentProfile(
+            is_aof=False, is_cq=False, is_cpf=False, is_cqf=False,
+            is_well_designed=False, has_simple_filters=False,
+            interface_width=None, is_cqof=False,
+        )
+    cq = _body_uses_only_reference(pattern, ())
+    cpf = _body_uses_only_reference(pattern, (ast.FilterPattern,))
+    simple = all(
+        simple_filter_reference(node.expression)
+        for node in walk.iter_patterns(pattern, enter_subqueries=False)
+        if isinstance(node, ast.FilterPattern)
+    )
+    algebra = to_binary_algebra(pattern)
+    well_designed = is_well_designed(algebra)
+    width = None
+    cqof = False
+    if well_designed:
+        width = interface_width(build_pattern_tree(algebra))
+        cqof = simple and width <= 1
+    return FragmentProfile(
+        is_aof=True,
+        is_cq=cq,
+        is_cpf=cpf,
+        is_cqf=cpf and simple,
+        is_well_designed=well_designed,
+        has_simple_filters=simple,
+        interface_width=width,
+        is_cqof=cqof,
+    )
+
+
+def predicate_variable_reference(pattern):
+    """Does any triple pattern of the body use a variable predicate?"""
+    return any(
+        isinstance(triple.predicate, Variable)
+        for triple in _triples_reference(pattern)
+    )
+
+
+def canonical_graph_reference(
+    pattern, include_constants=True, collapse_equalities=True
+):
+    """The canonical graph of *pattern* (§5, footnote 20), from its own
+    walks."""
+    parent = {}
+
+    def find(term):
+        root = term
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while parent.get(term, term) != term:
+            parent[term], term = root, parent[term]
+        return root
+
+    if collapse_equalities:
+        for node in walk.iter_patterns(pattern, enter_subqueries=False):
+            if isinstance(node, ast.FilterPattern):
+                pair = _equality_reference(node.expression)
+                if pair is not None:
+                    root_a, root_b = find(pair[0]), find(pair[1])
+                    if root_a != root_b:
+                        parent[root_a] = root_b
+    representatives = {term: find(term) for term in parent}
+
+    graph = Multigraph()
+    for triple in _triples_reference(pattern):
+        if isinstance(triple.predicate, Variable):
+            raise ValueError(
+                "canonical graph undefined for predicate-variable triples"
+            )
+        subject = representatives.get(triple.subject, triple.subject)
+        obj = representatives.get(triple.object, triple.object)
+        if include_constants:
+            graph.add_edge(subject, obj)
+            continue
+        subject_is_node = isinstance(subject, (Variable, BlankNode))
+        object_is_node = isinstance(obj, (Variable, BlankNode))
+        if subject_is_node and object_is_node:
+            graph.add_edge(subject, obj)
+        elif subject_is_node:
+            graph.add_node(subject)
+        elif object_is_node:
+            graph.add_node(obj)
+    return graph
+
+
+def canonical_hypergraph_reference(pattern):
+    """The canonical hypergraph of *pattern* (§5), from its own walk."""
+    hypergraph = Hypergraph()
+    for triple in _triples_reference(pattern):
+        hypergraph.add_edge(frozenset(
+            term for term in triple.terms()
+            if isinstance(term, (Variable, BlankNode))
+        ))
+    return hypergraph

@@ -567,3 +567,64 @@ class TestSnapshotErrorPaths:
         capsys.readouterr()
         assert main(["merge", str(unique), str(valid)]) == 2
         assert "cannot merge" in capsys.readouterr().err
+
+
+def _damaged_gzip(tmp_path, damage):
+    """A 50-line gzipped access log, cut to half its bytes or with its
+    deflate data flipped."""
+    import gzip
+
+    lines = "".join(
+        encode_access_log_line(f"SELECT ?x WHERE {{ ?x <urn:p{i}> ?y }}") + "\n"
+        for i in range(50)
+    )
+    data = bytearray(gzip.compress(lines.encode("utf-8"), mtime=0))
+    if damage == "truncated":
+        data = data[: len(data) // 2]
+    else:
+        for index in range(20, 60):
+            data[index] ^= 0xFF
+    path = tmp_path / f"{damage}.log.gz"
+    path.write_bytes(bytes(data))
+    return path
+
+
+class TestDamagedGzip:
+    """A truncated or corrupt gzip source is an input error: exit 2 with
+    one line on stderr, never a traceback, nothing written, no worker
+    left behind."""
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze"],
+            ["analyze", "--stream"],
+            ["analyze", "--workers", "2"],
+            ["streaks"],
+        ],
+        ids=["serial", "stream", "workers2", "streaks"],
+    )
+    def test_batch_entry_points_exit_2(self, tmp_path, capsys, damage, argv):
+        import multiprocessing
+
+        path = _damaged_gzip(tmp_path, damage)
+        snapshot = tmp_path / "study.json"
+        extra = ["--save-study", str(snapshot)] if argv[0] == "analyze" else []
+        assert main([*argv, *extra, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert str(path) in captured.err
+        assert not snapshot.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_watch_cycle_exits_2(self, tmp_path, capsys, damage):
+        path = _damaged_gzip(tmp_path, damage)
+        state = tmp_path / "state"
+        assert main(["watch", str(path), "--state", str(state)]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1
+        assert str(path) in captured.err
+        assert not state.exists()

@@ -1,11 +1,11 @@
 """Unit tests for shallow feature extraction (Table 2 semantics)."""
 
-from repro.analysis import extract_features
+from repro.analysis import extract_features, query_facts
 from repro.sparql import parse_query
 
 
 def features(text):
-    return extract_features(parse_query(text))
+    return extract_features(query_facts(parse_query(text)))
 
 
 class TestKeywords:

@@ -1,93 +1,83 @@
 """Unit tests for §5.2 fragment classification (CQ/CPF/CQF/AOF/CQOF)."""
 
-from repro.analysis import classify_fragments, is_aof, is_cpf, is_cq, is_cqf
-from repro.analysis.fragments import is_simple_filter
+from repro.analysis import classify_fragments, query_facts
 from repro.sparql import parse_query
 
 
-def pattern_of(text):
-    return parse_query(text).pattern
-
-
 def profile(text):
-    return classify_fragments(parse_query(text))
+    return classify_fragments(query_facts(parse_query(text)))
+
+
+def first_filter_simple(text):
+    return query_facts(parse_query(text)).filters[0].simple
 
 
 class TestCQ:
     def test_plain_bgp_is_cq(self):
-        assert is_cq(pattern_of("ASK { ?a <urn:p> ?b . ?b <urn:q> ?c }"))
+        assert profile("ASK { ?a <urn:p> ?b . ?b <urn:q> ?c }").is_cq
 
     def test_filter_not_cq(self):
-        assert not is_cq(pattern_of("ASK { ?a <urn:p> ?b FILTER(?b > 1) }"))
+        assert not profile("ASK { ?a <urn:p> ?b FILTER(?b > 1) }").is_cq
 
     def test_optional_not_cq(self):
-        assert not is_cq(
-            pattern_of("ASK { ?a <urn:p> ?b OPTIONAL { ?b <urn:q> ?c } }")
-        )
+        assert not profile("ASK { ?a <urn:p> ?b OPTIONAL { ?b <urn:q> ?c } }").is_cq
 
     def test_nested_groups_still_cq(self):
-        assert is_cq(pattern_of("ASK { { ?a <urn:p> ?b } ?b <urn:q> ?c }"))
+        assert profile("ASK { { ?a <urn:p> ?b } ?b <urn:q> ?c }").is_cq
 
     def test_path_not_cq(self):
-        assert not is_cq(pattern_of("ASK { ?a <urn:p>* ?b }"))
+        assert not profile("ASK { ?a <urn:p>* ?b }").is_cq
 
     def test_no_body_not_cq(self):
-        assert not is_cq(None)
+        assert not profile("DESCRIBE <urn:x>").is_cq
 
 
 class TestFilters:
     def test_single_variable_filter_simple(self):
-        q = parse_query('ASK { ?a ?p ?b FILTER(lang(?b) = "en") }')
-        assert is_simple_filter(q.pattern.elements[1].expression)
+        assert first_filter_simple('ASK { ?a ?p ?b FILTER(lang(?b) = "en") }')
 
     def test_variable_equality_simple(self):
-        q = parse_query("ASK { ?a ?p ?b FILTER(?a = ?b) }")
-        assert is_simple_filter(q.pattern.elements[1].expression)
+        assert first_filter_simple("ASK { ?a ?p ?b FILTER(?a = ?b) }")
 
     def test_two_variable_inequality_not_simple(self):
-        q = parse_query("ASK { ?a ?p ?b FILTER(?a != ?b) }")
-        assert not is_simple_filter(q.pattern.elements[1].expression)
+        assert not first_filter_simple("ASK { ?a ?p ?b FILTER(?a != ?b) }")
 
     def test_two_variable_less_than_not_simple(self):
-        q = parse_query("ASK { ?a ?p ?b FILTER(?a < ?b) }")
-        assert not is_simple_filter(q.pattern.elements[1].expression)
+        assert not first_filter_simple("ASK { ?a ?p ?b FILTER(?a < ?b) }")
 
     def test_exists_never_simple(self):
-        q = parse_query("ASK { ?a ?p ?b FILTER EXISTS { ?a <urn:q> 1 } }")
-        assert not is_simple_filter(q.pattern.elements[1].expression)
+        assert not first_filter_simple(
+            "ASK { ?a ?p ?b FILTER EXISTS { ?a <urn:q> 1 } }"
+        )
 
     def test_cqf_requires_simple_filters(self):
-        assert is_cqf(pattern_of("ASK { ?a <urn:p> ?b FILTER(?b > 1) }"))
-        assert not is_cqf(pattern_of("ASK { ?a <urn:p> ?b FILTER(?a < ?b) }"))
+        assert profile("ASK { ?a <urn:p> ?b FILTER(?b > 1) }").is_cqf
+        assert not profile("ASK { ?a <urn:p> ?b FILTER(?a < ?b) }").is_cqf
 
     def test_cpf_allows_any_filter(self):
-        assert is_cpf(pattern_of("ASK { ?a <urn:p> ?b FILTER(?a < ?b) }"))
+        assert profile("ASK { ?a <urn:p> ?b FILTER(?a < ?b) }").is_cpf
 
 
 class TestAOF:
     def test_aof_with_all_three(self):
-        assert is_aof(
-            pattern_of(
-                "ASK { ?a <urn:p> ?b . ?b <urn:q> ?c "
-                "OPTIONAL { ?c <urn:r> ?d } FILTER(?b != 1) }"
-            )
-        )
+        assert profile(
+            "ASK { ?a <urn:p> ?b . ?b <urn:q> ?c "
+            "OPTIONAL { ?c <urn:r> ?d } FILTER(?b != 1) }"
+        ).is_aof
 
     def test_union_not_aof(self):
-        assert not is_aof(
-            pattern_of("ASK { { ?a <urn:x> ?b } UNION { ?a <urn:y> ?b } }")
-        )
+        assert not profile(
+            "ASK { { ?a <urn:x> ?b } UNION { ?a <urn:y> ?b } }"
+        ).is_aof
 
     def test_graph_not_aof(self):
-        assert not is_aof(pattern_of("ASK { GRAPH <urn:g> { ?s ?p ?o } }"))
+        assert not profile("ASK { GRAPH <urn:g> { ?s ?p ?o } }").is_aof
 
     def test_nested_optionals_aof(self):
-        assert is_aof(
-            pattern_of(
-                "ASK { ?a <urn:p> ?b OPTIONAL { ?b <urn:q> ?c "
-                "OPTIONAL { ?c <urn:r> ?d } } }"
-            )
-        )
+        assert profile(
+            "ASK { ?a <urn:p> ?b OPTIONAL { ?b <urn:q> ?c "
+            "OPTIONAL { ?c <urn:r> ?d } } }"
+        ).is_aof
 
 
 class TestCQOF:
@@ -138,9 +128,7 @@ class TestCQOF:
         assert not p.is_cqof
 
     def test_construct_never_in_fragments(self):
-        p = classify_fragments(
-            parse_query("CONSTRUCT { ?s <urn:p> ?o } WHERE { ?s <urn:q> ?o }")
-        )
+        p = profile("CONSTRUCT { ?s <urn:p> ?o } WHERE { ?s <urn:q> ?o }")
         assert not p.is_aof and not p.is_cq
 
     def test_fragment_nesting_invariant(self):

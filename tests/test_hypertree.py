@@ -1,13 +1,13 @@
 """Unit tests for generalized hypertree width (§6.2)."""
 
-from repro.analysis import canonical_hypergraph, hypertree_width
+from repro.analysis import canonical_hypergraph, hypertree_width, query_facts
 from repro.analysis.canonical import Hypergraph
 from repro.rdf import Variable
 from repro.sparql import parse_query
 
 
 def hypergraph_of(text):
-    return canonical_hypergraph(parse_query(text).pattern)
+    return canonical_hypergraph(query_facts(parse_query(text)))
 
 
 def hg(*edges):

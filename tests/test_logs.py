@@ -13,6 +13,7 @@ from repro.logs import (
     parse_access_log_line,
 )
 from repro.logs.formats import _DECODE_MEMO_SIZE, _query_parameter
+from repro.rdf.namespaces import WELL_KNOWN_PREFIXES
 
 
 QUERY = 'SELECT ?x WHERE { ?x <urn:p> "a b&c" }'
@@ -116,6 +117,11 @@ class TestPipeline:
     def test_well_known_prefixes_available(self):
         # Endpoint logs rely on pre-declared prefixes.
         log = build_query_log("test", ["SELECT * WHERE { ?x rdf:type ?c }"])
+        assert log.valid == 1
+
+    def test_well_known_includes_wikidata(self):
+        assert WELL_KNOWN_PREFIXES["wdt"].startswith("http://www.wikidata.org/")
+        log = build_query_log("test", ["ASK { ?x wdt:P31 wd:Q5 }"])
         assert log.valid == 1
 
     def test_extra_prefixes(self):

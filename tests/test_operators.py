@@ -1,12 +1,12 @@
 """Unit tests for Table 3 operator-set classification."""
 
-from repro.analysis import classify_operators
-from repro.analysis.operators import TABLE3_ROWS, Operator
+from repro.analysis import classify_fragments, classify_operators, query_facts
+from repro.analysis.operators import TABLE3_ROWS
 from repro.sparql import parse_query
 
 
 def classify(text):
-    return classify_operators(parse_query(text))
+    return classify_operators(query_facts(parse_query(text)))
 
 
 class TestOperatorSets:
@@ -72,29 +72,30 @@ class TestOperatorSets:
 
 
 class TestCPF:
+    # CPF has one definition, the fragment classifier's (§5.2); the
+    # paper's CPF+O / CPF+G / CPF+U increments are Table 3 letter sets.
     def test_cpf_membership(self):
-        assert classify("SELECT * WHERE { ?s <urn:p> ?o }").is_cpf()
-        assert classify(
+        def cpf(text):
+            return classify_fragments(query_facts(parse_query(text))).is_cpf
+
+        assert cpf("SELECT * WHERE { ?s <urn:p> ?o }")
+        assert cpf(
             "SELECT * WHERE { ?s <urn:p> ?o . ?o <urn:q> ?z FILTER(?z > 1) }"
-        ).is_cpf()
-        assert not classify(
-            "SELECT * WHERE { ?s ?p ?o OPTIONAL { ?o <urn:q> ?z } }"
-        ).is_cpf()
+        )
+        assert not cpf("SELECT * WHERE { ?s ?p ?o OPTIONAL { ?o <urn:q> ?z } }")
 
     def test_cpf_plus_opt(self):
         c = classify(
             "SELECT * WHERE { ?s <urn:p> ?o OPTIONAL { ?o <urn:q> ?z } }"
         )
-        assert c.in_cpf_plus(Operator.OPT)
-        assert not c.in_cpf_plus(Operator.UNION)
+        assert c.pure and c.letters == frozenset("AO")
 
     def test_cpf_plus_excludes_mixed(self):
         c = classify(
             "SELECT * WHERE { ?s <urn:p> ?o OPTIONAL { ?o <urn:q> ?z } "
             "{ ?s <urn:a> ?b } UNION { ?s <urn:c> ?b } }"
         )
-        assert not c.in_cpf_plus(Operator.OPT)
-        assert not c.in_cpf_plus(Operator.UNION)
+        assert c.pure and c.letters == frozenset("AOU")
 
 
 class TestTable3Rows:

@@ -99,6 +99,17 @@ class TestPrologue:
         triple = q.pattern.elements[0]
         assert triple.predicate == IRI("http://dbpedia.org/ontology/birthPlace")
 
+    def test_prefix_redeclaration_replaces_binding(self):
+        # A later PREFIX wins over an earlier one and over a
+        # pre-declared prefix, and the caller's mapping is not touched.
+        extra = {"ex": "urn:extra:"}
+        q = parse_query(
+            "PREFIX ex: <urn:a:> PREFIX ex: <urn:b:> ASK { ?s ex:p ?o }",
+            extra_prefixes=extra,
+        )
+        assert q.pattern.elements[0].predicate == IRI("urn:b:p")
+        assert extra == {"ex": "urn:extra:"}
+
     def test_a_keyword_is_rdf_type(self):
         q = parse_query("ASK { ?s a <urn:Class> }")
         assert q.pattern.elements[0].predicate == RDF_TYPE

@@ -89,8 +89,8 @@ class TestContextMemoization:
 
             return wrapper
 
-        for name in ("extract_features", "classify_operators", "classify_fragments",
-                     "canonical_graph", "canonical_hypergraph"):
+        for name in ("query_facts", "extract_features", "classify_operators",
+                     "classify_fragments", "canonical_graph", "canonical_hypergraph"):
             monkeypatch.setattr(
                 context_module, name, counting(name, getattr(context_module, name))
             )
@@ -99,9 +99,37 @@ class TestContextMemoization:
         stats = DatasetStats(name="d")
         study.datasets["d"] = stats
         run_passes(study, stats, log.parsed[0], 1)
+        assert calls["query_facts"] == 1  # one walk feeds every pass
         assert calls["extract_features"] == 1
         assert calls["classify_fragments"] == 1
         assert calls["canonical_graph"] == 1  # constants variant not needed
+
+    def test_service_stripped_query_walks_its_raw_form_once_more(self, monkeypatch):
+        walked = []
+        original = context_module.query_facts
+
+        def counting(query):
+            walked.append(query)
+            return original(query)
+
+        monkeypatch.setattr(context_module, "query_facts", counting)
+        texts = [
+            "SELECT * WHERE { ?s <urn:p>/<urn:q> ?o "
+            "SERVICE <urn:label> { ?o <urn:l>* ?l } }",
+            "SELECT * WHERE { ?s <urn:p>/<urn:q> ?o }",
+        ]
+        log = build_query_log("wikidata", texts)
+        study = CorpusStudy()
+        stats = DatasetStats(name="wikidata")
+        study.datasets["wikidata"] = stats
+        for parsed in log.parsed:
+            run_passes(study, stats, parsed, 1)
+        # The stripped view and the raw form of the first query; one
+        # walk for the second, which has no SERVICE to strip.
+        assert len(walked) == 3
+        assert walked[1] is log.parsed[0].query
+        # Table 5 still counts the path inside the SERVICE clause.
+        assert study.property_path_total == 3
 
     def test_context_properties_are_cached_objects(self):
         log = build_query_log("d", ["ASK { ?a <urn:p> ?b }"])

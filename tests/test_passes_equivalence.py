@@ -11,15 +11,9 @@ streams, for both the Unique (dedup) and Valid (weighted) corpora.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.canonical import (
-    canonical_graph,
-    canonical_hypergraph,
-    has_predicate_variable,
-)
-from repro.analysis.features import extract_features
-from repro.analysis.fragments import classify_fragments
+import oracles
 from repro.analysis.hypertree import hypertree_width
-from repro.analysis.operators import TABLE3_ROWS, classify_operators
+from repro.analysis.operators import TABLE3_ROWS
 from repro.analysis.property_paths import classify_path
 from repro.analysis.shapes import classify_shape
 from repro.analysis.study import CorpusStudy, DatasetStats, study_corpus
@@ -28,6 +22,15 @@ from repro.logs import build_query_log
 from repro.reporting import render_report
 from repro.sparql import ast, walk
 from repro.sparql.serializer import serialize_path
+
+# The monolith's classifiers are the walker-based oracles: the passes
+# read one QueryFacts record instead, and must still agree.
+extract_features = oracles.features_reference
+classify_operators = oracles.operators_reference
+classify_fragments = oracles.fragments_reference
+has_predicate_variable = oracles.predicate_variable_reference
+canonical_graph = oracles.canonical_graph_reference
+canonical_hypergraph = oracles.canonical_hypergraph_reference
 
 _SHAPE_NODE_LIMIT = 400
 _NON_CTRACT_LIMIT = 100
@@ -173,7 +176,7 @@ def _legacy_analyze_structure(study, query, fragments, weight):
 
 def _legacy_analyze_paths(study, query, weight):
     pattern = query.pattern
-    for node in walk.iter_path_patterns(pattern):
+    for node in oracles.path_patterns_reference(pattern):
         study.property_path_total += weight
         classification = classify_path(node.path)
         if not classification.navigational:

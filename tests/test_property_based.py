@@ -9,6 +9,7 @@ from repro.analysis import (
     classify_shape,
     hypertree_width,
     levenshtein,
+    query_facts,
     treewidth,
 )
 from repro.analysis.graphutil import Multigraph
@@ -142,9 +143,9 @@ def test_forest_iff_no_girth(graph):
 def test_canonical_graph_edges_match_triples(query):
     from repro.analysis import has_predicate_variable
 
-    if has_predicate_variable(query.pattern):
+    if has_predicate_variable(query_facts(query)):
         return
-    graph = canonical_graph(query.pattern, collapse_equalities=False)
+    graph = canonical_graph(query_facts(query), collapse_equalities=False)
     triples = len(query.pattern.elements)
     assert graph.edge_count() == triples
 
@@ -154,7 +155,7 @@ def test_canonical_graph_edges_match_triples(query):
 def test_hypergraph_width_at_least_one_when_variables(query):
     from repro.analysis import canonical_hypergraph
 
-    hypergraph = canonical_hypergraph(query.pattern)
+    hypergraph = canonical_hypergraph(query_facts(query))
     result = hypertree_width(hypergraph)
     if hypergraph.edges:
         assert result.width >= 1

@@ -9,7 +9,12 @@ engine agreement, and study accounting.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import classify_fragments, classify_operators, extract_features
+from repro.analysis import (
+    classify_fragments,
+    classify_operators,
+    extract_features,
+    query_facts,
+)
 from repro.engine import IndexedEngine, NestedLoopEngine
 from repro.rdf import IRI, Graph, Literal, Triple, Variable
 from repro.sparql import ast, parse_query, serialize_query
@@ -85,7 +90,7 @@ def test_round_trip_rich_patterns(query):
 @settings(max_examples=80, deadline=None)
 @given(queries())
 def test_fragment_nesting(query):
-    profile = classify_fragments(query)
+    profile = classify_fragments(query_facts(query))
     if profile.is_cq:
         assert profile.is_cpf
     if profile.is_cqf:
@@ -99,8 +104,9 @@ def test_fragment_nesting(query):
 @settings(max_examples=80, deadline=None)
 @given(queries())
 def test_operator_classification_consistent_with_features(query):
-    features = extract_features(query)
-    classification = classify_operators(query)
+    facts = query_facts(query)
+    features = extract_features(facts)
+    classification = classify_operators(facts)
     if classification.pure:
         letters = classification.letters
         assert ("Filter" in features.keywords) == ("F" in letters)

@@ -155,6 +155,15 @@ class TestFormats:
                 cells = [cell.replace("|", "\\|") for cell in row]
                 assert "| " + " | ".join(cells) + " |" in lines, (table.title, row)
 
+    def test_markdown_table5_preamble_under_its_heading(self, study):
+        # The property-path totals introduce Table 5; they must not
+        # trail the previous section's heading (Sec 6.2).
+        output = render_report(study, "markdown")
+        heading = output.index("## Table 5: Structure of navigational property paths")
+        preamble = output.index("- Property paths total: ")
+        assert heading < preamble < output.index("| Expression Type |")
+        assert "## " not in output[heading + 1:preamble]
+
     def test_reporters_are_pure(self, study):
         before = study.to_dict()
         for name in reporter_names():

@@ -1,6 +1,6 @@
 """Unit tests for the shape classifier (Table 4)."""
 
-from repro.analysis import canonical_graph, classify_shape
+from repro.analysis import canonical_graph, classify_shape, query_facts
 from repro.analysis.graphutil import Multigraph
 from repro.analysis.shapes import (
     is_chain,
@@ -18,7 +18,7 @@ from repro.sparql import parse_query
 
 
 def graph_of(text):
-    return canonical_graph(parse_query(text).pattern)
+    return canonical_graph(query_facts(parse_query(text)))
 
 
 def build(*edges):

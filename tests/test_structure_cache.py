@@ -50,15 +50,15 @@ def study_with(queries, cache_size, dedup=True, name="d"):
 
 
 def graph_of(text):
-    from repro.analysis.canonical import canonical_graph
+    from repro.analysis import canonical_graph, query_facts
 
-    return canonical_graph(parse_query(text).pattern)
+    return canonical_graph(query_facts(parse_query(text)))
 
 
 def hypergraph_of(text):
-    from repro.analysis.canonical import canonical_hypergraph
+    from repro.analysis import canonical_hypergraph, query_facts
 
-    return canonical_hypergraph(parse_query(text).pattern)
+    return canonical_hypergraph(query_facts(parse_query(text)))
 
 
 class TestCacheTransparency:

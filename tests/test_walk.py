@@ -1,6 +1,13 @@
 """Unit tests for AST traversal utilities."""
 
-from repro.sparql import parse_query, walk
+from repro.sparql import ast, parse_query, walk
+
+
+def triples(pattern, enter_subqueries=True):
+    return [
+        node for node in walk.iter_patterns(pattern, enter_subqueries)
+        if isinstance(node, ast.TriplePattern)
+    ]
 
 
 class TestIterPatterns:
@@ -18,15 +25,14 @@ class TestIterPatterns:
         q = parse_query(
             "SELECT * WHERE { ?s ?p ?o FILTER EXISTS { ?s <urn:q> ?z } }"
         )
-        triples = list(walk.iter_triple_patterns(q.pattern))
-        assert len(triples) == 2
+        assert len(triples(q.pattern)) == 2
 
     def test_subquery_control(self):
         q = parse_query(
             "SELECT * WHERE { { SELECT ?x WHERE { ?x <urn:p> ?y } } }"
         )
-        with_sub = list(walk.iter_triple_patterns(q.pattern, enter_subqueries=True))
-        without = list(walk.iter_triple_patterns(q.pattern, enter_subqueries=False))
+        with_sub = triples(q.pattern, enter_subqueries=True)
+        without = triples(q.pattern, enter_subqueries=False)
         assert len(with_sub) == 1
         assert len(without) == 0
 
@@ -35,7 +41,7 @@ class TestIterPatterns:
 
     def test_document_order(self):
         q = parse_query("ASK { ?a <urn:p1> ?b . ?b <urn:p2> ?c . ?c <urn:p3> ?d }")
-        predicates = [t.predicate.value for t in walk.iter_triple_patterns(q.pattern)]
+        predicates = [t.predicate.value for t in triples(q.pattern)]
         assert predicates == ["urn:p1", "urn:p2", "urn:p3"]
 
 
@@ -61,11 +67,6 @@ class TestVariables:
         names = {v.name for v in walk.expression_variables(filter_node.expression)}
         assert "inner" in names
 
-    def test_query_variables_include_projection(self):
-        q = parse_query("SELECT (STRLEN(?n) AS ?l) WHERE { ?x <urn:n> ?n }")
-        names = {v.name for v in walk.query_variables(q)}
-        assert {"x", "n", "l"} <= names
-
 
 class TestStripServices:
     def test_removes_service_block(self):
@@ -76,7 +77,7 @@ class TestStripServices:
         stripped = walk.strip_services(q)
         kinds = {type(n).__name__ for n in walk.iter_patterns(stripped.pattern)}
         assert "ServicePattern" not in kinds
-        assert len(list(walk.iter_triple_patterns(stripped.pattern))) == 1
+        assert len(triples(stripped.pattern)) == 1
 
     def test_noop_without_service(self):
         q = parse_query("SELECT * WHERE { ?s ?p ?o }")
@@ -101,9 +102,10 @@ class TestStripServices:
         assert "UnionPattern" not in kinds
         assert kinds.count("TriplePattern") == 1
 
-    def test_iter_subqueries(self):
+    def test_iter_patterns_enters_nested_subqueries(self):
         q = parse_query(
             "SELECT * WHERE { { SELECT ?x WHERE { "
             "{ SELECT ?y WHERE { ?y <urn:p> ?x } } ?x <urn:q> ?z } } }"
         )
-        assert len(list(walk.iter_subqueries(q))) == 2
+        kinds = [type(n).__name__ for n in walk.iter_patterns(q.pattern)]
+        assert kinds.count("SubSelectPattern") == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import canonical_graph, classify_shape
+from repro.analysis import canonical_graph, classify_shape, query_facts
 from repro.exceptions import WorkloadError
 from repro.rdf import IRI
 from repro.sparql import parse_query
@@ -112,7 +112,7 @@ class TestGraphGeneration:
 
 class TestQueryShapes:
     def shape_of(self, text):
-        return classify_shape(canonical_graph(parse_query(text).pattern))
+        return classify_shape(canonical_graph(query_facts(parse_query(text))))
 
     @pytest.mark.parametrize("length", [1, 3, 5, 8])
     def test_chain_queries(self, schema, length):
