@@ -381,6 +381,9 @@ class WatchSession:
         self._studies: Dict[str, CorpusStudy] = {}
         self._cursors: Dict[str, _SourceCursor] = {}
         self._seen: Dict[str, set] = {}
+        #: One structural LRU for the whole session, so a shape measured
+        #: in an earlier cycle hits in a later one (invariant 4).
+        self._structures = StructureCache(self.options.cache_size)
         #: (combined study, its long rows) of the current ``_studies``;
         #: ``None`` once they change.
         self._stitched: Optional[
@@ -667,7 +670,7 @@ class WatchSession:
                 fresh.append(parsed)
         study = measure_chunk(
             name, fresh, options=self.options,
-            cache=StructureCache(self.options.cache_size),
+            cache=self._structures,
         )
         stats = study.datasets[name]
         stats.total, stats.valid, stats.unique = log.total, log.valid, len(fresh)

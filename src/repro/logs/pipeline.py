@@ -106,7 +106,7 @@ class ParseCache:
             return cached
         try:
             result: Optional[ast.Query] = parse_query(text, extra_prefixes=prefixes)
-        except (SparqlSyntaxError, RecursionError):
+        except SparqlSyntaxError:
             result = None
         self._entries[text] = result
         return result

@@ -198,6 +198,9 @@ class Arithmetic(Expression):
     left: Expression
     right: Expression
 
+    def __reduce__(self):
+        return _reduce_chain(self, "op", "right")
+
 
 @dataclass(frozen=True)
 class UnaryMinus(Expression):
@@ -308,11 +311,14 @@ class GroupPattern(Pattern):
 
 @dataclass(frozen=True)
 class UnionPattern(Pattern):
-    """``left UNION right`` (n-ary unions are right-nested by the parser
+    """``left UNION right`` (n-ary unions are left-nested by the parser
     and flattened on demand by analyses)."""
 
     left: Pattern
     right: Pattern
+
+    def __reduce__(self):
+        return _reduce_chain(self, "right")
 
 
 @dataclass(frozen=True)
@@ -353,6 +359,24 @@ class SubSelectPattern(Pattern):
     """A subquery ``{ SELECT ... }`` used as a graph pattern."""
 
     query: "Query"
+
+
+def _reduce_chain(node, *fields: str):
+    """Pickle a left-nested chain (``?a + ?b + ...``, ``{..} UNION {..}
+    UNION ...``) as its innermost left operand and one flat tuple of the
+    other *fields* of each link: the parser builds these chains in a
+    loop, so they may nest deeper than pickle can recurse."""
+    kind, links = type(node), []
+    while type(node) is kind:
+        links.append(tuple(getattr(node, name) for name in fields))
+        node = node.left
+    return _build_chain, (kind, node, fields, tuple(reversed(links)))
+
+
+def _build_chain(kind, node, fields, links):
+    for link in links:
+        node = kind(left=node, **dict(zip(fields, link)))
+    return node
 
 
 # ---------------------------------------------------------------------------

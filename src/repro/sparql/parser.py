@@ -6,7 +6,10 @@ language (not SPARQL Update): the four query forms, group graph
 patterns with FILTER / OPTIONAL / UNION / GRAPH / MINUS / BIND /
 VALUES / SERVICE, subqueries, property paths, blank-node property
 lists, RDF collections, expressions with full operator precedence,
-builtins, aggregates, and solution modifiers.
+builtins, aggregates, and solution modifiers.  Expressions and paths
+are each parsed by one loop over explicit stacks; only nested
+constructs recurse, and a query nested deeper than
+:data:`MAX_NESTING_DEPTH` is a syntax error.
 
 Entry point: :func:`parse_query`.
 
@@ -34,7 +37,7 @@ from ..rdf.terms import (
 from . import ast
 from .tokenizer import Token, TokenType, tokenize
 
-__all__ = ["parse_query", "Parser"]
+__all__ = ["parse_query", "Parser", "MAX_NESTING_DEPTH"]
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDF_TYPE = IRI(RDF_NS + "type")
@@ -60,6 +63,25 @@ BUILTIN_NAMES = frozenset(
 AGGREGATE_NAMES = frozenset(
     {"COUNT", "SUM", "MIN", "MAX", "AVG", "SAMPLE", "GROUP_CONCAT"}
 )
+
+#: Binary operators by binding power, loosest first.
+_BINDING_POWER = {
+    "||": 1, "&&": 2,
+    "=": 3, "!=": 3, "<": 3, ">": 3, "<=": 3, ">=": 3,
+    "+": 4, "-": 4, "*": 5, "/": 5,
+}
+_RELATIONAL = 3
+
+#: How deep a query may nest; groups, sub-selects, EXISTS, expressions
+#: (in parentheses, call arguments, IN lists), prefix ``!``/``-``,
+#: parenthesised paths, ``[ ]`` lists and collections are one level
+#: each.  Every AST within it pickles to a pool worker on Python
+#: 3.10-3.12 (docs/ARCHITECTURE.md, invariant 1).
+MAX_NESTING_DEPTH = 64
+
+
+def _is_builtin(token: Token) -> bool:
+    return token.type == TokenType.KEYWORD and token.value.upper() in BUILTIN_NAMES
 
 
 def parse_query(
@@ -87,13 +109,13 @@ class Parser:
         self._base: Optional[str] = None
         self._prefix_decls: List[Tuple[str, str]] = []
         self._bnode_counter = itertools.count()
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Token-stream helpers
     # ------------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        return self._tokens[self._pos]  # _next never moves past EOF
 
     def _next(self) -> Token:
         token = self._tokens[self._pos]
@@ -130,6 +152,12 @@ class Parser:
             self._next()
             return True
         return False
+
+    def _enter(self, levels: int = 1) -> None:
+        """Open *levels* of nesting (closed by decrementing ``_depth``)."""
+        self._depth += levels
+        if self._depth > MAX_NESTING_DEPTH:
+            raise self._error(f"query nests deeper than the limit of {MAX_NESTING_DEPTH} levels")
 
     def _fresh_bnode(self) -> BlankNode:
         return BlankNode(f"__b{next(self._bnode_counter)}")
@@ -241,17 +269,7 @@ class Parser:
                 self._next()
                 items.append(Variable(token.value))
             elif token.is_punct("("):
-                self._next()
-                expression = self._parse_expression()
-                self._expect_keyword("AS")
-                var_token = self._peek()
-                if var_token.type != TokenType.VAR:
-                    raise self._error("expected variable after AS")
-                self._next()
-                self._expect_punct(")")
-                items.append(
-                    ast.ProjectionExpression(expression, Variable(var_token.value))
-                )
+                items.append(self._parse_projection_expression())
             else:
                 break
         if not items:
@@ -368,95 +386,67 @@ class Parser:
     # Group graph patterns
     # ------------------------------------------------------------------
     def _parse_group_graph_pattern(self) -> ast.GroupPattern:
+        self._enter()
         self._expect_punct("{")
         if self._peek().is_keyword("SELECT"):
+            self._enter()
             subquery = self._parse_select_query()
             self._expect_punct("}")
+            self._depth -= 2
             return ast.GroupPattern((ast.SubSelectPattern(subquery),))
         elements: List[ast.Pattern] = []
         while True:
             token = self._peek()
             if token.is_punct("}"):
-                self._next()
-                return ast.GroupPattern(tuple(elements))
+                break
             if token.type == TokenType.EOF:
                 raise self._error("unterminated group graph pattern")
-            if token.is_keyword("FILTER"):
+            keyword = token.value.upper() if token.type == TokenType.KEYWORD else ""
+            if keyword in ("FILTER", "OPTIONAL", "MINUS", "GRAPH", "SERVICE", "BIND"):
                 self._next()
-                elements.append(ast.FilterPattern(self._parse_constraint()))
-                self._accept_punct(".")
-            elif token.is_keyword("OPTIONAL"):
-                self._next()
-                elements.append(
-                    ast.OptionalPattern(self._parse_group_graph_pattern())
-                )
-                self._accept_punct(".")
-            elif token.is_keyword("MINUS"):
-                self._next()
-                elements.append(ast.MinusPattern(self._parse_group_graph_pattern()))
-                self._accept_punct(".")
-            elif token.is_keyword("GRAPH"):
-                self._next()
+            if keyword == "FILTER":
+                element: ast.Pattern = ast.FilterPattern(self._parse_constraint())
+            elif keyword == "OPTIONAL":
+                element = ast.OptionalPattern(self._parse_group_graph_pattern())
+            elif keyword == "MINUS":
+                element = ast.MinusPattern(self._parse_group_graph_pattern())
+            elif keyword == "GRAPH":
                 graph_term = self._parse_var_or_iri()
-                elements.append(
-                    ast.GraphGraphPattern(graph_term, self._parse_group_graph_pattern())
-                )
-                self._accept_punct(".")
-            elif token.is_keyword("SERVICE"):
-                self._next()
+                element = ast.GraphGraphPattern(graph_term, self._parse_group_graph_pattern())
+            elif keyword == "SERVICE":
                 silent = self._accept_keyword("SILENT")
                 endpoint = self._parse_var_or_iri()
-                elements.append(
-                    ast.ServicePattern(
-                        endpoint, self._parse_group_graph_pattern(), silent=silent
-                    )
+                element = ast.ServicePattern(
+                    endpoint, self._parse_group_graph_pattern(), silent=silent
                 )
-                self._accept_punct(".")
-            elif token.is_keyword("BIND"):
-                self._next()
-                self._expect_punct("(")
-                expression = self._parse_expression()
-                self._expect_keyword("AS")
-                var_token = self._peek()
-                if var_token.type != TokenType.VAR:
-                    raise self._error("expected variable after AS in BIND")
-                self._next()
-                self._expect_punct(")")
-                elements.append(
-                    ast.BindPattern(expression, Variable(var_token.value))
-                )
-                self._accept_punct(".")
-            elif token.is_keyword("VALUES"):
-                elements.append(self._parse_values())
-                self._accept_punct(".")
+            elif keyword == "BIND":
+                bound = self._parse_projection_expression()
+                element = ast.BindPattern(bound.expression, bound.variable)
+            elif keyword == "VALUES":
+                element = self._parse_values()
             elif token.is_punct("{"):
-                nested = self._parse_group_graph_pattern()
-                pattern = self._parse_union_tail(nested)
+                element = self._parse_group_graph_pattern()
+                while self._accept_keyword("UNION"):
+                    element = ast.UnionPattern(element, self._parse_group_graph_pattern())
                 # Unwrap a bare subquery: "{ SELECT ... }" should appear
                 # as a SubSelectPattern element, not a nested group.
                 if (
-                    isinstance(pattern, ast.GroupPattern)
-                    and len(pattern.elements) == 1
-                    and isinstance(pattern.elements[0], ast.SubSelectPattern)
+                    isinstance(element, ast.GroupPattern)
+                    and len(element.elements) == 1
+                    and isinstance(element.elements[0], ast.SubSelectPattern)
                 ):
-                    pattern = pattern.elements[0]
-                elements.append(pattern)
-                self._accept_punct(".")
+                    element = element.elements[0]
             else:
                 triples = self._parse_triples_block(allow_paths=True)
                 if not triples:
                     raise self._error(f"unexpected token {token.value!r} in pattern")
                 elements.extend(triples)
-
-    def _parse_union_tail(self, first: ast.Pattern) -> ast.Pattern:
-        pattern = first
-        while self._peek().is_keyword("UNION"):
-            self._next()
-            if not self._peek().is_punct("{"):
-                raise self._error("expected '{' after UNION")
-            right = self._parse_group_graph_pattern()
-            pattern = ast.UnionPattern(pattern, right)
-        return pattern
+                continue
+            elements.append(element)
+            self._accept_punct(".")
+        self._next()
+        self._depth -= 1
+        return ast.GroupPattern(tuple(elements))
 
     def _parse_values(self) -> ast.ValuesPattern:
         self._expect_keyword("VALUES")
@@ -468,10 +458,8 @@ class Parser:
             single = True
         elif token.is_punct("(") or token.type == TokenType.NIL:
             single = False
-            if token.type == TokenType.NIL:
-                self._next()
-            else:
-                self._next()
+            self._next()
+            if token.type != TokenType.NIL:
                 while self._peek().type == TokenType.VAR:
                     variables.append(Variable(self._next().value))
                 self._expect_punct(")")
@@ -507,8 +495,7 @@ class Parser:
         if token.is_keyword("UNDEF"):
             self._next()
             return None
-        term = self._parse_graph_term(allow_var=False, allow_bnode=False)
-        return term
+        return self._parse_graph_term(allow_var=False, allow_bnode=False)
 
     # ------------------------------------------------------------------
     # Triples blocks
@@ -550,19 +537,12 @@ class Parser:
         self, patterns: List[ast.Pattern], allow_paths: bool
     ) -> None:
         token = self._peek()
-        if token.is_punct("[") or token.type == TokenType.ANON:
-            subject = self._parse_blank_node_property_list(patterns, allow_paths)
-            # Property list may be the whole statement ([...] .) or have
-            # a following predicate-object list.
-            if self._starts_verb(self._peek()):
-                self._parse_property_list(subject, patterns, allow_paths)
-            return
-        if token.is_punct("(") or token.type == TokenType.NIL:
-            subject = self._parse_collection(patterns, allow_paths)
-            self._parse_property_list(subject, patterns, allow_paths)
-            return
-        subject = self._parse_graph_term(allow_var=True, allow_bnode=True)
-        self._parse_property_list(subject, patterns, allow_paths)
+        subject = self._parse_object(patterns, allow_paths)
+        # A blank-node property list may be the whole statement ([...] .).
+        self._parse_property_list(
+            subject, patterns, allow_paths,
+            optional=token.is_punct("[") or token.type == TokenType.ANON,
+        )
 
     def _starts_verb(self, token: Token) -> bool:
         if token.type in (TokenType.VAR, TokenType.IRIREF, TokenType.PNAME):
@@ -606,10 +586,7 @@ class Parser:
             if isinstance(path, ast.PathIRI):
                 return path.iri
             return path
-        if token.type == TokenType.KEYWORD and token.value == "a":
-            self._next()
-            return RDF_TYPE
-        return self._parse_iri()
+        return self._parse_iri_or_a()
 
     def _parse_object_list(
         self,
@@ -644,10 +621,12 @@ class Parser:
         if token.type == TokenType.ANON:
             self._next()
             return self._fresh_bnode()
+        self._enter()
         self._expect_punct("[")
         node = self._fresh_bnode()
         self._parse_property_list(node, patterns, allow_paths)
         self._expect_punct("]")
+        self._depth -= 1
         return node
 
     def _parse_collection(
@@ -657,6 +636,7 @@ class Parser:
         if token.type == TokenType.NIL:
             self._next()
             return RDF_NIL
+        self._enter()
         self._expect_punct("(")
         items: List[Term] = []
         while not self._peek().is_punct(")"):
@@ -664,6 +644,7 @@ class Parser:
                 raise self._error("unterminated collection")
             items.append(self._parse_object(patterns, allow_paths))
         self._next()
+        self._depth -= 1
         if not items:
             return RDF_NIL
         head = self._fresh_bnode()
@@ -766,62 +747,54 @@ class Parser:
     # Property paths (SPARQL 1.1 §9)
     # ------------------------------------------------------------------
     def _parse_path(self) -> ast.Path:
-        return self._parse_path_alternative()
-
-    def _parse_path_alternative(self) -> ast.Path:
-        options = [self._parse_path_sequence()]
-        while self._accept_punct("|"):
-            options.append(self._parse_path_sequence())
-        if len(options) == 1:
-            return options[0]
-        return ast.PathAlternative(tuple(options))
-
-    def _parse_path_sequence(self) -> ast.Path:
-        steps = [self._parse_path_elt_or_inverse()]
-        while self._accept_punct("/"):
-            steps.append(self._parse_path_elt_or_inverse())
-        if len(steps) == 1:
-            return steps[0]
-        return ast.PathSequence(tuple(steps))
-
-    def _parse_path_elt_or_inverse(self) -> ast.Path:
-        if self._accept_punct("^"):
-            return ast.PathInverse(self._parse_path_elt())
-        return self._parse_path_elt()
-
-    def _parse_path_elt(self) -> ast.Path:
-        primary = self._parse_path_primary()
-        token = self._peek()
-        if token.is_punct("*", "+", "?"):
-            self._next()
-            return ast.PathMod(primary, token.value)
-        return primary
-
-    def _parse_path_primary(self) -> ast.Path:
-        token = self._peek()
-        if token.is_punct("!"):
-            self._next()
-            return self._parse_negated_property_set()
-        if token.is_punct("("):
-            self._next()
-            path = self._parse_path()
-            self._expect_punct(")")
-            return path
-        if token.type == TokenType.KEYWORD and token.value == "a":
-            self._next()
-            return ast.PathIRI(RDF_TYPE)
-        return ast.PathIRI(self._parse_iri())
+        """Parse a Path with one loop: ``(`` pushes the ``|`` *options*
+        and ``/`` *steps* parsed so far, with the ``^`` before it, and
+        ``)`` pops them; its path then takes a modifier like any IRI."""
+        stack: List[Tuple[List[ast.Path], List[ast.Path], bool]] = []
+        options: List[ast.Path] = []
+        steps: List[ast.Path] = []
+        while True:
+            inverse = self._accept_punct("^")
+            token = self._peek()
+            if token.is_punct("("):
+                self._enter()
+                self._next()
+                stack.append((options, steps, inverse))
+                options, steps = [], []
+                continue
+            if token.is_punct("!"):
+                self._next()
+                primary: ast.Path = self._parse_negated_property_set()
+            else:
+                primary = ast.PathIRI(self._parse_iri_or_a())
+            while True:
+                token = self._peek()
+                if token.is_punct("*", "+", "?"):
+                    self._next()
+                    primary = ast.PathMod(primary, token.value)
+                steps.append(ast.PathInverse(primary) if inverse else primary)
+                if self._accept_punct("/"):
+                    break
+                options.append(steps[0] if len(steps) == 1 else ast.PathSequence(tuple(steps)))
+                steps = []
+                if self._accept_punct("|"):
+                    break
+                primary = options[0] if len(options) == 1 else ast.PathAlternative(tuple(options))
+                if not stack:
+                    return primary
+                self._expect_punct(")")
+                self._depth -= 1
+                options, steps, inverse = stack.pop()
 
     def _parse_negated_property_set(self) -> ast.PathNegated:
         forward: List[IRI] = []
         inverse: List[IRI] = []
 
         def one() -> None:
-            """Parse one path-length bound digit sequence."""
             if self._accept_punct("^"):
-                inverse.append(self._parse_path_atom_iri())
+                inverse.append(self._parse_iri_or_a())
             else:
-                forward.append(self._parse_path_atom_iri())
+                forward.append(self._parse_iri_or_a())
 
         if self._accept_punct("("):
             if not self._peek().is_punct(")"):
@@ -833,7 +806,7 @@ class Parser:
             one()
         return ast.PathNegated(tuple(forward), tuple(inverse))
 
-    def _parse_path_atom_iri(self) -> IRI:
+    def _parse_iri_or_a(self) -> IRI:
         token = self._peek()
         if token.type == TokenType.KEYWORD and token.value == "a":
             self._next()
@@ -845,15 +818,12 @@ class Parser:
     # ------------------------------------------------------------------
     def _parse_constraint(self) -> ast.Expression:
         token = self._peek()
-        if token.is_punct("("):
-            return self._parse_bracketted_expression()
-        if token.is_keyword("EXISTS", "NOT"):
-            return self._parse_exists()
-        if token.type == TokenType.KEYWORD and token.value.upper() in BUILTIN_NAMES:
-            return self._parse_builtin_call()
-        if token.type in (TokenType.IRIREF, TokenType.PNAME):
-            return self._parse_iri_function_or_term()
-        raise self._error(f"expected filter constraint, found {token.value!r}")
+        if not (
+            token.is_punct("(") or token.is_keyword("EXISTS", "NOT") or _is_builtin(token)
+            or token.type in (TokenType.IRIREF, TokenType.PNAME)
+        ):
+            raise self._error(f"expected filter constraint, found {token.value!r}")
+        return self._parse_primary_expression()
 
     def _parse_bracketted_expression(self) -> ast.Expression:
         self._expect_punct("(")
@@ -862,39 +832,80 @@ class Parser:
         return expression
 
     def _parse_expression(self) -> ast.Expression:
-        return self._parse_or_expression()
+        """Parse one Expression with a precedence-climbing loop.
 
-    def _parse_or_expression(self) -> ast.Expression:
-        operands = [self._parse_and_expression()]
-        while self._accept_punct("||"):
-            operands.append(self._parse_and_expression())
-        if len(operands) == 1:
-            return operands[0]
-        return ast.OrExpression(tuple(operands))
+        *pending* holds the open binary operators as [binding power,
+        symbol, operand count], reduced once one binding no tighter
+        follows: ``||`` and ``&&`` gather n-ary nodes, ``+ - * /`` nest
+        to the left, and comparisons and ``[NOT] IN`` do not chain.
+        """
+        self._enter()
+        operands: List[ast.Expression] = []
+        pending: List[list] = []
+        relation = 0  # 1 after a comparison, 2 after [NOT] IN, at this level
 
-    def _parse_and_expression(self) -> ast.Expression:
-        operands = [self._parse_relational_expression()]
-        while self._accept_punct("&&"):
-            operands.append(self._parse_relational_expression())
-        if len(operands) == 1:
-            return operands[0]
-        return ast.AndExpression(tuple(operands))
+        def reduce() -> None:
+            power, symbol, count = pending.pop()
+            args = operands[-count:]
+            del operands[-count:]
+            if power == 1:
+                operands.append(ast.OrExpression(tuple(args)))
+            elif power == 2:
+                operands.append(ast.AndExpression(tuple(args)))
+            elif power == _RELATIONAL:
+                operands.append(ast.Comparison(symbol, *args))
+            else:
+                operands.append(ast.Arithmetic(symbol, *args))
 
-    def _parse_relational_expression(self) -> ast.Expression:
-        left = self._parse_additive_expression()
-        token = self._peek()
-        if token.is_punct("=", "!=", "<", ">", "<=", ">="):
+        while True:
+            prefixes = []
+            while self._peek().is_punct("!", "-", "+"):
+                symbol = self._next().value
+                if symbol != "+":  # a leading '+' is dropped
+                    prefixes.append(symbol)
+            self._enter(len(prefixes))
+            operand = self._parse_primary_expression()
+            for symbol in reversed(prefixes):
+                operand = (
+                    ast.NotExpression(operand) if symbol == "!" else ast.UnaryMinus(operand)
+                )
+            self._depth -= len(prefixes)
+            operands.append(operand)
+            token = self._peek()
+            if token.is_keyword("IN", "NOT") and not relation:
+                while pending and pending[-1][0] > _RELATIONAL:
+                    reduce()
+                self._next()
+                negated = token.is_keyword("NOT")
+                if negated:
+                    self._expect_keyword("IN")
+                operands[-1] = ast.InExpression(
+                    operands[-1], self._parse_expression_list(), negated=negated
+                )
+                relation = 2
+                token = self._peek()
+            power = _BINDING_POWER.get(token.value, 0) if token.type == TokenType.PUNCT else 0
+            if not power or relation and (
+                power == _RELATIONAL or power > _RELATIONAL and relation == 2
+            ):
+                break
+            while pending and (
+                pending[-1][0] > power or pending[-1][0] == power > _RELATIONAL
+            ):
+                reduce()
             self._next()
-            right = self._parse_additive_expression()
-            return ast.Comparison(token.value, left, right)
-        if token.is_keyword("IN"):
-            self._next()
-            return ast.InExpression(left, self._parse_expression_list(), negated=False)
-        if token.is_keyword("NOT"):
-            self._next()
-            self._expect_keyword("IN")
-            return ast.InExpression(left, self._parse_expression_list(), negated=True)
-        return left
+            if pending and pending[-1][0] == power:
+                pending[-1][2] += 1
+            else:
+                pending.append([power, token.value, 2])
+            if power == _RELATIONAL:
+                relation = 1
+            elif power < _RELATIONAL:
+                relation = 0
+        while pending:
+            reduce()
+        self._depth -= 1
+        return operands[0]
 
     def _parse_expression_list(self) -> Tuple[ast.Expression, ...]:
         if self._peek().type == TokenType.NIL:
@@ -906,41 +917,6 @@ class Parser:
             expressions.append(self._parse_expression())
         self._expect_punct(")")
         return tuple(expressions)
-
-    def _parse_additive_expression(self) -> ast.Expression:
-        left = self._parse_multiplicative_expression()
-        while True:
-            token = self._peek()
-            if token.is_punct("+", "-"):
-                self._next()
-                right = self._parse_multiplicative_expression()
-                left = ast.Arithmetic(token.value, left, right)
-            else:
-                return left
-
-    def _parse_multiplicative_expression(self) -> ast.Expression:
-        left = self._parse_unary_expression()
-        while True:
-            token = self._peek()
-            if token.is_punct("*", "/"):
-                self._next()
-                right = self._parse_unary_expression()
-                left = ast.Arithmetic(token.value, left, right)
-            else:
-                return left
-
-    def _parse_unary_expression(self) -> ast.Expression:
-        token = self._peek()
-        if token.is_punct("!"):
-            self._next()
-            return ast.NotExpression(self._parse_unary_expression())
-        if token.is_punct("-"):
-            self._next()
-            return ast.UnaryMinus(self._parse_unary_expression())
-        if token.is_punct("+"):
-            self._next()
-            return self._parse_unary_expression()
-        return self._parse_primary_expression()
 
     def _parse_primary_expression(self) -> ast.Expression:
         token = self._peek()
@@ -972,28 +948,34 @@ class Parser:
         raise self._error(f"unexpected token {token.value!r} in expression")
 
     def _parse_exists(self) -> ast.ExistsExpression:
-        negated = False
-        if self._accept_keyword("NOT"):
-            negated = True
+        negated = self._accept_keyword("NOT")
+        self._enter()
         self._expect_keyword("EXISTS")
         pattern = self._parse_group_graph_pattern()
+        self._depth -= 1
         return ast.ExistsExpression(pattern, negated=negated)
 
     def _parse_builtin_call(self) -> ast.BuiltinCall:
-        name_token = self._next()
-        name = name_token.value.upper()
-        token = self._peek()
-        if token.type == TokenType.NIL:
+        name = self._next().value.upper()
+        return ast.BuiltinCall(name, self._parse_arguments()[1])
+
+    def _parse_arguments(
+        self, allow_distinct: bool = False
+    ) -> Tuple[bool, Tuple[ast.Expression, ...]]:
+        """A call's arguments, ``NIL`` or ``( [DISTINCT] expr, ... )``,
+        as (distinct, args)."""
+        if self._peek().type == TokenType.NIL:
             self._next()
-            return ast.BuiltinCall(name, ())
+            return False, ()
         self._expect_punct("(")
+        distinct = allow_distinct and self._accept_keyword("DISTINCT")
         args: List[ast.Expression] = []
         if not self._peek().is_punct(")"):
             args.append(self._parse_expression())
             while self._accept_punct(","):
                 args.append(self._parse_expression())
         self._expect_punct(")")
-        return ast.BuiltinCall(name, tuple(args))
+        return distinct, tuple(args)
 
     def _parse_aggregate(self) -> ast.Aggregate:
         name_token = self._next()
@@ -1020,19 +1002,27 @@ class Parser:
         iri = self._parse_iri()
         token = self._peek()
         if token.is_punct("(") or token.type == TokenType.NIL:
-            if token.type == TokenType.NIL:
-                self._next()
-                return ast.FunctionCall(iri, ())
-            self._next()
-            distinct = self._accept_keyword("DISTINCT")
-            args: List[ast.Expression] = []
-            if not self._peek().is_punct(")"):
-                args.append(self._parse_expression())
-                while self._accept_punct(","):
-                    args.append(self._parse_expression())
-            self._expect_punct(")")
-            return ast.FunctionCall(iri, tuple(args), distinct=distinct)
+            distinct, args = self._parse_arguments(allow_distinct=True)
+            return ast.FunctionCall(iri, args, distinct=distinct)
         return ast.TermExpression(iri)
+
+    def _parse_projection_expression(
+        self, optional_as: bool = False
+    ) -> Union[ast.Expression, ast.ProjectionExpression]:
+        """``( expr AS ?var )`` as a ProjectionExpression; with
+        *optional_as*, a plain ``( expr )`` too, as the expression."""
+        self._expect_punct("(")
+        expression = self._parse_expression()
+        if optional_as and not self._peek().is_keyword("AS"):
+            self._expect_punct(")")
+            return expression
+        self._expect_keyword("AS")
+        token = self._peek()
+        if token.type != TokenType.VAR:
+            raise self._error("expected variable after AS")
+        self._next()
+        self._expect_punct(")")
+        return ast.ProjectionExpression(expression, Variable(token.value))
 
     # ------------------------------------------------------------------
     # Solution modifiers
@@ -1052,23 +1042,8 @@ class Parser:
                     self._next()
                     group_by.append(ast.TermExpression(Variable(token.value)))
                 elif token.is_punct("("):
-                    self._next()
-                    expression = self._parse_expression()
-                    if self._accept_keyword("AS"):
-                        var_token = self._peek()
-                        if var_token.type != TokenType.VAR:
-                            raise self._error("expected variable after AS")
-                        self._next()
-                        self._expect_punct(")")
-                        group_by.append(
-                            ast.ProjectionExpression(
-                                expression, Variable(var_token.value)
-                            )
-                        )
-                    else:
-                        self._expect_punct(")")
-                        group_by.append(expression)
-                elif token.type == TokenType.KEYWORD and token.value.upper() in BUILTIN_NAMES:
+                    group_by.append(self._parse_projection_expression(optional_as=True))
+                elif _is_builtin(token):
                     group_by.append(self._parse_builtin_call())
                 elif token.type in (TokenType.IRIREF, TokenType.PNAME):
                     group_by.append(self._parse_iri_function_or_term())
@@ -1079,10 +1054,7 @@ class Parser:
 
         if self._accept_keyword("HAVING"):
             having.append(self._parse_constraint())
-            while self._peek().is_punct("(") or (
-                self._peek().type == TokenType.KEYWORD
-                and self._peek().value.upper() in BUILTIN_NAMES
-            ):
+            while self._peek().is_punct("(") or _is_builtin(self._peek()):
                 having.append(self._parse_constraint())
 
         if self._accept_keyword("ORDER"):
@@ -1106,10 +1078,7 @@ class Parser:
                     order_by.append(
                         ast.OrderCondition(self._parse_bracketted_expression())
                     )
-                elif (
-                    token.type == TokenType.KEYWORD
-                    and token.value.upper() in BUILTIN_NAMES
-                ):
+                elif _is_builtin(token):
                     order_by.append(ast.OrderCondition(self._parse_builtin_call()))
                 else:
                     break

@@ -85,8 +85,8 @@ def _modifier_lines(modifier: ast.SolutionModifier) -> List[str]:
             else:
                 conditions.append(f"({serialize_expression(condition)})")
         lines.append("GROUP BY " + " ".join(conditions))
-    for having in modifier.having:
-        lines.append(f"HAVING ({serialize_expression(having)})")
+    if modifier.having:
+        lines.append("HAVING " + " ".join(f"({serialize_expression(h)})" for h in modifier.having))
     if modifier.order_by:
         conditions = []
         for order in modifier.order_by:

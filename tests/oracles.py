@@ -20,6 +20,12 @@ program never runs them:
   one whole document, which :class:`repro.analysis.incremental.WatchSession`
   now assembles from memoized per-dataset fragments; the tests require
   the same bytes after every cycle.
+* :class:`ParserReference` — the parser with its thirteen grammar-level
+  methods for expressions and property paths (one recursive call per
+  precedence level) that the precedence loops of
+  :class:`repro.sparql.parser.Parser` replaced; below the nesting limit
+  both must return equal ASTs, or both raise
+  :class:`SparqlSyntaxError`, on every input.
 * :func:`features_reference`, :func:`operators_reference`,
   :func:`fragments_reference`, :func:`predicate_variable_reference`,
   :func:`canonical_graph_reference`, :func:`canonical_hypergraph_reference`
@@ -61,11 +67,13 @@ from repro.analysis.welldesigned import (
 from repro.exceptions import SparqlSyntaxError
 from repro.rdf.terms import BlankNode, Variable
 from repro.sparql import ast, walk
+from repro.sparql.parser import RDF_TYPE, Parser
 from repro.sparql.tokenizer import Token, TokenType
 
 __all__ = [
     "_levenshtein_banded",
     "_levenshtein_full",
+    "ParserReference",
     "_similar_reference",
     "canonical_graph_reference",
     "canonical_hypergraph_reference",
@@ -815,3 +823,131 @@ def canonical_hypergraph_reference(pattern):
             if isinstance(term, (Variable, BlankNode))
         ))
     return hypergraph
+
+
+# ---------------------------------------------------------------------------
+# The recursive-descent expression and path grammar
+# ---------------------------------------------------------------------------
+
+
+class ParserReference(Parser):
+    """:class:`Parser` with one method per precedence level of the
+    expression and path grammars, as it was before the two precedence
+    loops; the rest of the parser is shared."""
+
+    def _parse_path(self) -> ast.Path:
+        return self._parse_path_alternative()
+
+    def _parse_path_alternative(self) -> ast.Path:
+        options = [self._parse_path_sequence()]
+        while self._accept_punct("|"):
+            options.append(self._parse_path_sequence())
+        if len(options) == 1:
+            return options[0]
+        return ast.PathAlternative(tuple(options))
+
+    def _parse_path_sequence(self) -> ast.Path:
+        steps = [self._parse_path_elt_or_inverse()]
+        while self._accept_punct("/"):
+            steps.append(self._parse_path_elt_or_inverse())
+        if len(steps) == 1:
+            return steps[0]
+        return ast.PathSequence(tuple(steps))
+
+    def _parse_path_elt_or_inverse(self) -> ast.Path:
+        if self._accept_punct("^"):
+            return ast.PathInverse(self._parse_path_elt())
+        return self._parse_path_elt()
+
+    def _parse_path_elt(self) -> ast.Path:
+        primary = self._parse_path_primary()
+        token = self._peek()
+        if token.is_punct("*", "+", "?"):
+            self._next()
+            return ast.PathMod(primary, token.value)
+        return primary
+
+    def _parse_path_primary(self) -> ast.Path:
+        token = self._peek()
+        if token.is_punct("!"):
+            self._next()
+            return self._parse_negated_property_set()
+        if token.is_punct("("):
+            self._next()
+            path = self._parse_path()
+            self._expect_punct(")")
+            return path
+        if token.type == TokenType.KEYWORD and token.value == "a":
+            self._next()
+            return ast.PathIRI(RDF_TYPE)
+        return ast.PathIRI(self._parse_iri())
+
+    def _parse_expression(self) -> ast.Expression:
+        return self._parse_or_expression()
+
+    def _parse_or_expression(self) -> ast.Expression:
+        operands = [self._parse_and_expression()]
+        while self._accept_punct("||"):
+            operands.append(self._parse_and_expression())
+        if len(operands) == 1:
+            return operands[0]
+        return ast.OrExpression(tuple(operands))
+
+    def _parse_and_expression(self) -> ast.Expression:
+        operands = [self._parse_relational_expression()]
+        while self._accept_punct("&&"):
+            operands.append(self._parse_relational_expression())
+        if len(operands) == 1:
+            return operands[0]
+        return ast.AndExpression(tuple(operands))
+
+    def _parse_relational_expression(self) -> ast.Expression:
+        left = self._parse_additive_expression()
+        token = self._peek()
+        if token.is_punct("=", "!=", "<", ">", "<=", ">="):
+            self._next()
+            right = self._parse_additive_expression()
+            return ast.Comparison(token.value, left, right)
+        if token.is_keyword("IN"):
+            self._next()
+            return ast.InExpression(left, self._parse_expression_list(), negated=False)
+        if token.is_keyword("NOT"):
+            self._next()
+            self._expect_keyword("IN")
+            return ast.InExpression(left, self._parse_expression_list(), negated=True)
+        return left
+
+    def _parse_additive_expression(self) -> ast.Expression:
+        left = self._parse_multiplicative_expression()
+        while True:
+            token = self._peek()
+            if token.is_punct("+", "-"):
+                self._next()
+                right = self._parse_multiplicative_expression()
+                left = ast.Arithmetic(token.value, left, right)
+            else:
+                return left
+
+    def _parse_multiplicative_expression(self) -> ast.Expression:
+        left = self._parse_unary_expression()
+        while True:
+            token = self._peek()
+            if token.is_punct("*", "/"):
+                self._next()
+                right = self._parse_unary_expression()
+                left = ast.Arithmetic(token.value, left, right)
+            else:
+                return left
+
+    def _parse_unary_expression(self) -> ast.Expression:
+        token = self._peek()
+        if token.is_punct("!"):
+            self._next()
+            return ast.NotExpression(self._parse_unary_expression())
+        if token.is_punct("-"):
+            self._next()
+            return ast.UnaryMinus(self._parse_unary_expression())
+        if token.is_punct("+"):
+            self._next()
+            return self._parse_unary_expression()
+        return self._parse_primary_expression()

@@ -13,6 +13,7 @@ from repro.exceptions import (
 from repro.logs import build_query_log
 from repro.rdf import IRI, Graph, Literal, Triple, Variable
 from repro.sparql import parse_query
+from repro.sparql.parser import MAX_NESTING_DEPTH
 
 
 class TestExceptionHierarchy:
@@ -47,10 +48,12 @@ class TestPipelineRobustness:
     def test_deeply_nested_groups_do_not_crash(self):
         depth = 150
         text = "ASK " + "{" * depth + " ?s <urn:p> ?o " + "}" * depth
-        # Either parses fine or raises SparqlSyntaxError (via the
-        # pipeline's RecursionError guard) — never a hard crash.
+        # Past the nesting limit: a syntax error that names the limit,
+        # on every Python version and stack size.
+        with pytest.raises(SparqlSyntaxError, match=f"limit of {MAX_NESTING_DEPTH} levels"):
+            parse_query(text)
         log = build_query_log("deep", [text])
-        assert log.total == 1
+        assert (log.total, log.valid) == (1, 0)
 
     def test_pathological_long_line(self):
         text = "ASK { ?s <urn:p> \"" + "x" * 100_000 + "\" }"

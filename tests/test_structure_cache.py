@@ -12,6 +12,7 @@ from repro.analysis.context import (
     graph_signature,
     hypergraph_signature,
 )
+from repro.analysis.incremental import WatchSession
 from repro.analysis.parallel import measure_chunk, study_corpus_parallel
 from repro.analysis.study import study_corpus
 from repro.logs import build_query_log
@@ -140,6 +141,18 @@ class TestCacheEngagement:
         assert cache.hits == 0
         assert cache.misses == 0
         assert len(cache) == 0
+
+    def test_watch_cycles_share_one_cache(self, tmp_path):
+        # The second cycle meets the first cycle's shape in a new text.
+        log = tmp_path / "day.log"
+        log.write_text(TEMPLATED[0] + "\n")
+        session = WatchSession([str(log)], tmp_path / "state")
+        session.cycle(drain=False)
+        assert session._structures.hits == 0
+        with log.open("a") as handle:
+            handle.write(TEMPLATED[1] + "\n")
+        session.cycle()
+        assert session._structures.hits == 1
 
     def test_lru_evicts_least_recently_used(self):
         cache = StructureCache(capacity=2)
