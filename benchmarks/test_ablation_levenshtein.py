@@ -12,7 +12,7 @@ identical decisions:
   pre-prefilter kernel kept as the correctness oracle;
 * **DP-decision memo on/off** — a streak scan with and without the
   scan state's memo of recent DP decisions;
-* **stitch memo** — the head memos of a chunked scan's merges,
+* **stitch memo** — the memo of each merge of a chunked scan,
   counted (the DP runs it saves are its hits, so it has no off switch);
 * **budget cutoff** — the Myers DP stopping once the final diagonal
   exceeds the budget vs running to the last column;
@@ -212,7 +212,7 @@ def test_ablation_dp_memo():
 
 
 def test_ablation_stitch_memo():
-    """Stitching a chunked scan: same state as serial, and each head's
+    """Stitching a chunked scan: same state as serial, and each stitch's
     memo answers the pairs that chains sharing a tail ask again."""
     log = generate_day_log(1600, session_rate=0.3, seed=6)
     chunk_size = len(log) // STITCH_CHUNKS
@@ -231,7 +231,7 @@ def test_ablation_stitch_memo():
     for text in log:
         serial.push(text)
 
-    banner("Ablation: stitch DP memo (per head)")
+    banner("Ablation: stitch DP memo (per stitch)")
     print(
         f"{len(chunks)} chunks: {counters['dp_runs']} DP runs, "
         f"{counters['memo_hits']} memo hits "

@@ -15,14 +15,13 @@ re-analysing the whole log fails the build.
 A second leg runs the same cycles on *one* held session with a
 warehouse, the way ``repro watch --warehouse`` runs, and records under
 ``watch_held`` how often the warehouse decoded its stored study after
-the first cycle (the held handle keeps what it merged, so: never) and
+the first cycle (the held handle keeps what it wrote, so: never) and
 whether the held handle renders exactly like a fresh read-only handle
 (invariant 11).  This leg runs every metric, streaks included, and
-also records how many streak DP runs the warehouse's merges made after
-the first cycle: the session has just stitched each delta onto an
-equal checkpoint, and the delta carries those decisions, so: none.
-CI asserts all three; they are counts and identities, so they hold on
-any runner.
+also records how many streak similarity comparisons and DP runs the
+warehouse writes made after the first cycle: each write stores the
+session's study as it is and stitches nothing, so: none.  CI asserts
+these; they are counts and identities, so they hold on any runner.
 """
 
 from __future__ import annotations
@@ -140,17 +139,17 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
         return decode(*args)
 
     monkeypatch.setattr(store, "_decode_study", counted_decode)
-    stitches = []
-    ingest = StudyWarehouse.ingest
+    writes = []
+    replace_part = StudyWarehouse.replace_part
 
-    def counted_ingest(*args, **kwargs):
+    def counted_replace_part(*args, **kwargs):
         before = SIMILARITY_COUNTERS.to_dict()
         try:
-            return ingest(*args, **kwargs)
+            return replace_part(*args, **kwargs)
         finally:
-            stitches.append(SIMILARITY_COUNTERS.delta_since(before))
+            writes.append(SIMILARITY_COUNTERS.delta_since(before))
 
-    monkeypatch.setattr(StudyWarehouse, "ingest", counted_ingest)
+    monkeypatch.setattr(StudyWarehouse, "replace_part", counted_replace_part)
     _append(log, texts[:base])
     cycle_seconds = []
     with WatchSession(
@@ -159,7 +158,7 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
     ) as session:
         session.cycle()
         decodes.clear()
-        stitches.clear()
+        writes.clear()
         for index in range(CYCLES):
             start_entry = base + index * SLICE
             _append(log, texts[start_entry : start_entry + SLICE])
@@ -168,8 +167,8 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
             cycle_seconds.append(time.perf_counter() - start)
             assert outcome.total_new == SLICE
         stored_study_decodes = len(decodes)
-        warehouse_dp_runs = sum(stitch["dp_runs"] for stitch in stitches)
-        warehouse_memo_hits = sum(stitch["memo_hits"] for stitch in stitches)
+        warehouse_comparisons = sum(write["comparisons"] for write in writes)
+        warehouse_dp_runs = sum(write["dp_runs"] for write in writes)
         held = session._warehouse.render()
     with StudyWarehouse.open(warehouse, readonly=True) as fresh:
         identical = held == fresh.render()
@@ -183,8 +182,8 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
                 "entries_per_cycle": SLICE,
                 "mean_cycle_seconds": round(mean_cycle, 6),
                 "stored_study_decodes": stored_study_decodes,
+                "warehouse_comparisons": warehouse_comparisons,
                 "warehouse_dp_runs": warehouse_dp_runs,
-                "warehouse_memo_hits": warehouse_memo_hits,
                 "warehouse_identical": identical,
             }
         }
@@ -194,13 +193,13 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
     print(
         f"  cycle: {SLICE} entries in {mean_cycle:8.4f}s mean; "
         f"stored-study decodes after the first cycle: {stored_study_decodes}; "
-        f"warehouse stitch DP runs / memo hits: "
-        f"{warehouse_dp_runs} / {warehouse_memo_hits}; "
+        f"warehouse write comparisons / DP runs: "
+        f"{warehouse_comparisons} / {warehouse_dp_runs}; "
         f"held render == fresh render: {identical}"
     )
 
     assert stored_study_decodes == 0, "the held handle decoded its study again"
-    assert len(stitches) == CYCLES
-    assert warehouse_memo_hits > 0, "no warehouse stitch reached the DP stage"
+    assert len(writes) == CYCLES, "the session wrote its part once per cycle"
+    assert warehouse_comparisons == 0, "the warehouse write compared query texts"
     assert warehouse_dp_runs == 0, "the warehouse re-ran the session's stitch DP"
     assert identical, "held-handle render must equal a fresh read-only render"

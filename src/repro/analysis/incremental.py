@@ -21,8 +21,9 @@ watch cycles):
   :class:`~repro.exceptions.WatchStateError` instead of silently
   double-counting history.  Cycles advance only past *complete* entry
   boundaries (the last newline; for block format, the last blank
-  line), so a writer flushing mid-entry never splits one; ``drain``
-  consumes the unterminated tail on a final cycle.
+  line), so a writer flushing mid-entry never splits one, nor the end
+  of a gzip member not yet flushed; ``drain`` consumes the
+  unterminated tail on a final cycle (an unfinished member fails).
 * **Cross-cycle deduplication.**  Table 1's Unique column and every
   main-body measurement run over first occurrences.  The checkpoint
   carries the SHA-256 digests of all unique texts seen, so each cycle
@@ -52,11 +53,14 @@ dataset's encoded seen-digest list and study are memoized until a
 cycle changes that dataset's study (a loaded checkpoint starts with
 none), so a cycle re-encodes only the datasets it grew, and the
 assembled document is byte for byte the compact encoding of the whole.
-With a warehouse, the session opens one writable handle at its first
-ingest and holds it until :meth:`WatchSession.close`; the handle keeps
-the study it merged, so steady cycles never decode the stored study
-again.  A :class:`~repro.exceptions.WarehouseError` drops the handle,
-and the next cycle reopens and re-checks the file.
+With a warehouse, the session stores that combined study as the
+warehouse part it owns, so the warehouse renders exactly the
+checkpoint.  It writes until one write of the current study succeeds:
+a kill or :class:`~repro.exceptions.WarehouseError` after the
+checkpoint heals on the next cycle, idle or not.  The one writable
+handle, opened at the first write and held until
+:meth:`WatchSession.close`, keeps the parts it wrote, so steady cycles
+never decode them; a ``WarehouseError`` drops it.
 
 Durability: cursors, seen-digests, and the per-dataset study snapshots
 are one JSON *checkpoint* document written with a single atomic
@@ -98,6 +102,7 @@ from ..logs.pipeline import ParsedQuery, QueryLog
 from ..logs.sources import (
     _PARSERS,
     DETECT_LINES,
+    IncompleteGzip,
     dataset_name,
     detect_format,
     open_binary,
@@ -266,7 +271,13 @@ class _SourceCursor:
                     f"watched source {self.path}: consumed prefix was "
                     "rewritten behind the cursor (rotated or edited)"
                 )
-            data = stream.read()
+            data = bytearray()
+            try:
+                while chunk := stream.read1(_READ_CHUNK):
+                    data += chunk
+            except IncompleteGzip:
+                if drain:  # else: an unflushed member, retried next cycle
+                    raise
         if not data:
             return []
         if self.format is None:
@@ -278,7 +289,7 @@ class _SourceCursor:
         consumable = _consumable_length(data, self.format, drain)
         if not consumable:
             return []
-        region = data[:consumable]
+        region = bytes(data[:consumable])
         hasher.update(region)
         self.offset += consumable
         self.fingerprint = hasher.hexdigest()
@@ -318,7 +329,7 @@ class WatchSession:
     incompatible measurements into one study.
 
     With a ``warehouse_path`` the session holds one writable warehouse
-    handle from its first ingest on; :meth:`close` (or leaving a
+    handle from its first write on; :meth:`close` (or leaving a
     ``with`` block) releases it, and a later :meth:`cycle` reopens it.
     """
 
@@ -394,6 +405,8 @@ class WatchSession:
         #: changes that dataset's study.
         self._fragments: Dict[str, Tuple[str, str]] = {}
         self._warehouse: Optional["StudyWarehouse"] = None  # opened lazily
+        #: The combined study this session last stored in the warehouse.
+        self._stored: Optional[CorpusStudy] = None
         if self.checkpoint_path.exists():
             self._load_checkpoint()
 
@@ -423,7 +436,7 @@ class WatchSession:
     def close(self) -> None:
         """Release the held warehouse handle (idempotent).
 
-        The session stays usable: the next cycle that ingests reopens
+        The session stays usable: the next cycle that writes reopens
         the warehouse."""
         warehouse, self._warehouse = self._warehouse, None
         if warehouse is not None:
@@ -591,7 +604,6 @@ class WatchSession:
             new_texts[name] = texts
         counts = {name: len(texts) for name, texts in new_texts.items()}
         changed = any(counts.values())
-        deltas: Dict[str, CorpusStudy] = {}
         if changed or first:
             # The first cycle folds every dataset in, entries or not,
             # so the study lists them exactly like a one-shot run
@@ -611,15 +623,14 @@ class WatchSession:
             for name in corpora:
                 self._fragments.pop(name, None)
                 delta = self._measure_delta(name, logs[name])
-                deltas[name] = delta
                 if name in self._studies:
                     self._studies[name].merge(delta)
                 else:
                     self._studies[name] = delta
         self.generation += 1
         self._write_checkpoint()
-        if deltas and self.warehouse_path is not None:
-            self._ingest(deltas)
+        if self.warehouse_path is not None:
+            self._store()
         diff = render_rows_diff(previous_rows, self._combined()[1])
         return WatchCycle(
             generation=self.generation,
@@ -628,30 +639,28 @@ class WatchSession:
             diff=diff,
         )
 
-    def _ingest(self, deltas: Mapping[str, CorpusStudy]) -> None:
-        """Merge the cycle's deltas into the warehouse, on the held handle.
-
-        The warehouse accumulates by merging, so it gets the cycle's
-        *delta* (cumulative checkpoints would double-count); its merged
-        study then tracks the checkpoint study.
-        """
+    def _store(self) -> None:
+        """Store the combined study as the session's warehouse part
+        unless this session already did (the ledger digest makes a
+        study stored before a kill a no-op)."""
         from ..warehouse import StudyWarehouse
 
-        cycle_delta = CorpusStudy(dedup=True)
-        for name, _ in self._datasets:
-            if name in deltas:
-                cycle_delta.merge(deltas[name])
+        study = self._combined()[0]
+        if study is self._stored:
+            return
         try:
             if self._warehouse is None:
                 self._warehouse = StudyWarehouse.open(self.warehouse_path)
-            self._warehouse.ingest(
-                cycle_delta,
+            self._warehouse.replace_part(
+                f"watch:{self.state_dir.resolve()}",
+                study,
                 source=f"watch:{self.state_dir}@{self.generation}",
             )
         except WarehouseError:
-            # The next cycle reopens the file and checks it again.
+            # The next cycle reopens the file and writes again.
             self.close()
             raise
+        self._stored = study
 
     def _measure_delta(self, name: str, log: QueryLog) -> CorpusStudy:
         """Measure one dataset's cycle slice as a mergeable partial study.

@@ -31,9 +31,8 @@ in ``tests/test_streak_prefilters.py``):
 5. **decision memo** — each scan state remembers its recent DP
    decisions by text pair, so a (chain tail, query) pair that a
    bot-repeated stream brings back is not decided twice, and each
-   accumulator's head keeps the decisions stitches made against it, so
-   chains that share a tail decide each head text once and a second
-   stitch of the same head onto an equal left side runs no DP;
+   stitch keeps the decisions it made against the right-hand head, so
+   chains that share a tail decide each head text once;
 6. **budgeted bit-parallel DP** — Myers' algorithm on the trimmed
    remainders, which stops as soon as a cell on the final diagonal
    exceeds the edit budget.  (The banded DP it replaced survives only
@@ -234,7 +233,7 @@ class SimilarityCounters:
     bag_rejects: int = 0  #: settled by the bag-of-chars bound
     trim_accepts: int = 0  #: settled by the common-affix upper bound
     dp_runs: int = 0  #: pairs that actually reached the DP
-    memo_hits: int = 0  #: decisions reused from a per-push, head or DP-decision memo
+    memo_hits: int = 0  #: decisions reused from a per-push, stitch or DP-decision memo
     boundary_hits: int = 0  #: decisions reused from a worker boundary table
 
     def reset(self) -> None:
@@ -369,10 +368,10 @@ _MEMO_GENERATION = 256
 
 
 class _DecisionMemo:
-    """Bounded memo of DP decisions for one scan state or one head.
+    """Bounded memo of DP decisions for one scan state or one stitch.
 
     Bot-repeated queries make a scan meet the same (chain tail, query)
-    pair again and again, and stitches meet the same (chain tail, head
+    pair again and again, and a stitch meets the same (chain tail, head
     text) pair; the memo keeps the DP from re-deciding it.
     Two generations of at most :data:`_MEMO_GENERATION` entries each:
     when the young one fills it becomes the old one and the previous
@@ -561,7 +560,7 @@ class StreakAccumulator:
 
     __slots__ = (
         "window", "threshold", "length", "head", "chains", "closed",
-        "_boundary", "_memo", "_head_memo",
+        "_boundary", "_memo",
     )
 
     def __init__(
@@ -583,26 +582,22 @@ class StreakAccumulator:
         self._boundary: Optional[Dict[Tuple[str, str], bool]] = None
         #: DP decisions of this scan state (see :class:`_DecisionMemo`).
         self._memo = _DecisionMemo()
-        #: DP decisions that stitches made against our ``head``: (left
-        #: chain tail, head text) -> similar?  See :meth:`merge`.
-        self._head_memo = _DecisionMemo()
 
     def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
-        """Every slot but the memos: memos never ride transport.
+        """Every slot but the memo: a memo never rides transport.
 
         The same ``(None, slots)`` state the default protocol would
-        build without the memos, so shipped payloads keep their bytes.
+        build without the memo, so shipped payloads keep their bytes.
         """
         return None, {
             name: getattr(self, name) for name in self.__slots__
-            if name not in ("_memo", "_head_memo")
+            if name != "_memo"
         }
 
     def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
         for name, value in state[1].items():
             setattr(self, name, value)
         self._memo = _DecisionMemo()
-        self._head_memo = _DecisionMemo()
 
     # -- feeding ---------------------------------------------------------
 
@@ -675,13 +670,7 @@ class StreakAccumulator:
     # -- merging ---------------------------------------------------------
 
     def copy(self) -> "StreakAccumulator":
-        """An independent deep copy (merge mutates the left side).
-
-        The copy shares our head memo: both heads are equal, and a
-        decision depends only on its text pair and the threshold, so a
-        stitch onto the copy may reuse — and add to — the decisions of
-        stitches onto the original.
-        """
+        """An independent deep copy (merge mutates the left side)."""
         duplicate = StreakAccumulator(self.window, self.threshold)
         duplicate.length = self.length
         duplicate.head = list(self.head)
@@ -690,7 +679,6 @@ class StreakAccumulator:
         duplicate._boundary = (
             dict(self._boundary) if self._boundary is not None else None
         )
-        duplicate._head_memo = self._head_memo
         return duplicate
 
     def precompute_boundary(self, lookahead: Sequence[str]) -> None:
@@ -771,18 +759,13 @@ class StreakAccumulator:
         # (see precompute_boundary); the table is authoritative on hit —
         # same prepared_similar, same inputs — and misses (tails
         # stitched through from earlier chunks) fall back to computing
-        # the decision here, through *other*'s head memo: chains
+        # the decision here, through a memo of this stitch: chains
         # extended by one query share a tail, so the same pair comes
-        # back within one stitch, and a second stitch of the same head
-        # onto an equal left side (a watch cycle's delta, stitched onto
-        # the checkpoint and then into the warehouse) finds every
-        # decision made.  Not the scan state's own memo: a shipped
-        # accumulator arrives with empty memos and is stitched once, so
-        # consulting its scan memo here would make the counters depend
-        # on where the chunk ran; the head memo holds only decisions
-        # of stitches against this head.
+        # back within one stitch.  Not a scan state's own memo: a
+        # shipped accumulator arrives with an empty one, so consulting
+        # it here would make the counters depend on where the chunk ran.
         boundary = self._boundary
-        memo = other._head_memo
+        memo = _DecisionMemo()
         absorbed_founders = set()
         extensions: List[Tuple[_Chain, int]] = []
         prepared_head: List[Optional[PreparedText]] = [None] * len(other.head)

@@ -755,8 +755,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--warehouse",
         default=None,
         metavar="PATH",
-        help="also ingest each cycle's delta into this study warehouse "
-        "(created if missing; the warehouse then tracks the checkpoint)",
+        help="also store the checkpointed study in this study warehouse "
+        "(created if missing; the warehouse then renders the checkpoint)",
     )
     watch.set_defaults(func=_cmd_watch)
 

@@ -44,6 +44,7 @@ from .formats import iter_queries
 
 __all__ = [
     "DETECT_LINES",
+    "IncompleteGzip",
     "dataset_name",
     "detect_format",
     "iter_entries",
@@ -67,11 +68,17 @@ DETECT_LINES = 4096
 _ACCESS_LOG_PROBE = 10
 
 
+class IncompleteGzip(gzip.BadGzipFile):
+    """Gzip data that ends inside a member: cut off, or not yet flushed."""
+
+
 class _CheckedGzip(io.RawIOBase):
     """A gzip stream whose damage surfaces as
     :class:`gzip.BadGzipFile`, an :class:`OSError` like every other
-    unreadable input, instead of ``EOFError`` (truncated data) or
-    ``zlib.error`` (corrupt deflate data)."""
+    unreadable input, instead of ``EOFError`` (truncated data:
+    :class:`IncompleteGzip`) or ``zlib.error`` (corrupt deflate data).
+    A read decompresses one step, so only a read with nothing left to
+    return raises."""
 
     def __init__(self, path: Path, inner: BinaryIO) -> None:
         super().__init__()
@@ -83,9 +90,10 @@ class _CheckedGzip(io.RawIOBase):
 
     def readinto(self, buffer) -> int:  # type: ignore[override]
         try:
-            return self._inner.readinto(buffer)
+            return self._inner.readinto1(buffer)
         except (EOFError, zlib.error) as error:
-            raise gzip.BadGzipFile(
+            damage = IncompleteGzip if isinstance(error, EOFError) else gzip.BadGzipFile
+            raise damage(
                 f"{self._path}: truncated or corrupt gzip data ({error})"
             ) from None
 
@@ -100,7 +108,8 @@ def open_binary(path: PathLike) -> BinaryIO:
     Compression is recognized by magic bytes rather than extension, so
     a gzipped stream named ``endpoint.log`` still opens correctly.
     Concatenated gzip members read as one stream.  Truncated or corrupt
-    gzip data raises :class:`gzip.BadGzipFile` when read.
+    gzip data raises :class:`gzip.BadGzipFile` when read (truncated:
+    :class:`IncompleteGzip`, once ``read1`` returned all before it).
     """
     path = Path(path)
     with path.open("rb") as probe:

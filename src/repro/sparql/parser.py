@@ -880,7 +880,7 @@ class Parser:
                 if negated:
                     self._expect_keyword("IN")
                 operands[-1] = ast.InExpression(
-                    operands[-1], self._parse_expression_list(), negated=negated
+                    operands[-1], self._parse_arguments()[1], negated=negated
                 )
                 relation = 2
                 token = self._peek()
@@ -906,17 +906,6 @@ class Parser:
             reduce()
         self._depth -= 1
         return operands[0]
-
-    def _parse_expression_list(self) -> Tuple[ast.Expression, ...]:
-        if self._peek().type == TokenType.NIL:
-            self._next()
-            return ()
-        self._expect_punct("(")
-        expressions = [self._parse_expression()]
-        while self._accept_punct(","):
-            expressions.append(self._parse_expression())
-        self._expect_punct(")")
-        return tuple(expressions)
 
     def _parse_primary_expression(self) -> ast.Expression:
         token = self._peek()

@@ -5,20 +5,21 @@ schema-versioned via ``PRAGMA user_version``):
 
 * ``meta`` — key/value header: the warehouse kind tag, the corpus
   flavour, the ingest generation counter, the FTS mode.
-* ``ingests`` — the append ledger: one row per distinct snapshot
-  digest ever merged.  Re-ingesting a byte-equivalent snapshot hits
-  the digest and is a no-op, which is what makes ``ingest`` idempotent.
-* ``study`` — the merged study's versioned snapshot document (the
-  same codec ``save_study`` writes, stored as compact JSON; older
-  indented bodies load the same), the warehouse's source of truth:
-  reports render from it through the reporter registry, byte-identical
-  to ``repro report`` over the equivalently merged snapshot.  A handle
-  caches the decoded study per ingest generation, and its own ingests
-  leave their merged study as that cache, so a long-lived writer (a
-  ``repro watch`` session) never decodes the document again unless
-  another handle wrote in between.
+* ``ingests`` — the append ledger: one row per distinct study
+  digest ever written.  Writing a byte-equivalent study again hits
+  the digest and is a no-op, which is what makes writes idempotent.
+* ``parts`` — the source of truth: study snapshot documents (the
+  codec ``save_study`` writes, as compact JSON; older indented bodies
+  load the same), one per owner.  Snapshot ingests merge into the
+  part owned by ``''``; a ``repro watch`` session replaces its own.
+  Reports render the fold of the parts in ``seq`` (first write)
+  order through the reporter registry, byte-identical to ``repro
+  report`` over the equivalently merged snapshot.  A handle caches
+  the decoded parts per generation, and its own writes leave what
+  they wrote as that cache, so a long-lived writer never decodes
+  them again unless another handle wrote in between.
 * ``datasets`` / ``cells`` / ``streaks`` / ``caveats`` — indexed
-  derived tables, rebuilt transactionally at each ingest: per-dataset
+  derived tables, rebuilt transactionally at each write: per-dataset
   pipeline counters, every measurement cell of the paper's tables in
   the long format of :func:`repro.reporting.reporters.study_long_rows`,
   streak-length histograms, and coverage-caveat counters.  Queries
@@ -31,8 +32,8 @@ schema-versioned via ``PRAGMA user_version``):
 The warehouse is *data*, not a cache: every failure (corrupt file,
 foreign or future schema, incompatible ingest) raises a typed
 :class:`~repro.exceptions.WarehouseError` naming the problem, and a
-failed ingest rolls back, leaving the previous state intact (the
-handle's cached study included).
+failed write rolls back, leaving the previous state intact (the
+handle's cached parts included).
 """
 
 from __future__ import annotations
@@ -122,6 +123,13 @@ _MIGRATIONS: List[List[str]] = [
         )
         """,
     ],
+    # 1 -> 2: one study part per owner; the study is the snapshot part.
+    [
+        "CREATE TABLE parts (seq INTEGER PRIMARY KEY,"
+        " owner TEXT NOT NULL UNIQUE, body TEXT NOT NULL)",
+        "INSERT INTO parts (owner, body) SELECT '', body FROM study",
+        "DROP TABLE study",
+    ],
 ]
 
 #: Version of the current schema, recorded in ``PRAGMA user_version``.
@@ -193,13 +201,24 @@ _DATASET_KEYS = (
 
 
 def _decode_study(path: str, body: str) -> CorpusStudy:
-    """Decode the stored study document of the warehouse at *path*."""
+    """Decode a stored study part of the warehouse at *path*."""
     try:
         return study_from_dict(json.loads(body))
     except (StudySnapshotError, json.JSONDecodeError) as error:
         raise WarehouseError(
             f"{path}: stored study document is unreadable ({error})"
         ) from error
+
+
+def _fold(parts: Dict[str, CorpusStudy]) -> CorpusStudy:
+    """*parts* merged in order; a lone part is served as it is."""
+    first, *rest = parts.values()
+    if not rest:
+        return first
+    folded = CorpusStudy(dedup=first.dedup)
+    for part in parts.values():
+        folded.merge(part)
+    return folded
 
 
 class StudyWarehouse:
@@ -214,8 +233,8 @@ class StudyWarehouse:
         self._connection = connection
         self.path = path
         self.readonly = readonly
-        #: Parsed-study cache, keyed by the ingest generation.
-        self._study_cache: Optional[Tuple[int, CorpusStudy]] = None
+        #: (generation, decoded parts by owner in fold order, their fold).
+        self._cache: Optional[Tuple[int, Dict[str, CorpusStudy], Optional[CorpusStudy]]] = None
 
     # -- lifecycle ------------------------------------------------------
 
@@ -274,6 +293,11 @@ class StudyWarehouse:
                 raise WarehouseError(
                     f"{resolved}: unsupported warehouse schema {version} "
                     f"(this build reads versions 1..{WAREHOUSE_SCHEMA_VERSION})"
+                )
+            elif readonly and version < WAREHOUSE_SCHEMA_VERSION:
+                raise WarehouseError(
+                    f"{resolved}: warehouse schema {version} is too old; open it "
+                    "for writing once (any `repro warehouse ingest`) to migrate it"
                 )
             if not readonly:
                 cls._migrate(connection, version)
@@ -341,28 +365,41 @@ class StudyWarehouse:
 
     @property
     def generation(self) -> int:
-        """Number of state-changing ingests so far (cache key)."""
+        """Number of state-changing writes so far (cache key)."""
         return int(self._meta("generation", "0"))
 
     def _guard(self, error: sqlite3.Error) -> "WarehouseError":
         return WarehouseError(f"{self.path}: warehouse query failed ({error})")
 
-    # -- ingest ---------------------------------------------------------
+    # -- writes ---------------------------------------------------------
 
     def ingest(self, study: CorpusStudy, *, source: str = "<memory>") -> str:
-        """Merge *study* into the warehouse; returns ``"merged"`` or
+        """Merge *study* into the snapshot part; returns ``"merged"`` or
         ``"unchanged"``.
 
         The upsert is :meth:`CorpusStudy.merge`, so
         ``ingest(a); ingest(b)`` leaves exactly the state of
         ``ingest(merge(a, b))``, and re-ingesting a byte-equivalent
         snapshot (same content digest) is a no-op — shard files can be
-        re-shipped safely.  Everything — ledger row, study document,
-        derived tables, FTS index — commits in one transaction;
-        incompatible studies (corpus flavour, streak parameters) raise
+        re-shipped safely.  Everything — ledger row, part, derived
+        tables, FTS index — commits in one transaction; incompatible
+        studies (corpus flavour, streak parameters) raise
         :class:`~repro.exceptions.WarehouseError` before anything is
         written.
         """
+        return self._write("", study, source, merge=True)
+
+    def replace_part(self, owner: str, study: CorpusStudy, *, source: str) -> str:
+        """Store *study* as the part of *owner* (a ``repro watch``
+        session), keeping the part's place in the fold; returns
+        ``"replaced"`` or ``"unchanged"`` (the study is in the ledger).
+
+        Commits like :meth:`ingest`.  The handle keeps *study* itself
+        as the decoded part: the caller must not change it afterwards.
+        """
+        return self._write(owner, study, source, merge=False)
+
+    def _write(self, owner: str, study: CorpusStudy, source: str, merge: bool) -> str:
         if self.readonly:
             raise WarehouseError(f"{self.path}: warehouse opened read-only")
         incoming = study_to_dict(study)
@@ -375,24 +412,20 @@ class StudyWarehouse:
             raise self._guard(error) from error
         if known is not None:
             return "unchanged"
-        current = self.study()
-        if current is None:
-            current = CorpusStudy(dedup=study.dedup)
-        # The merge below mutates the cached study in place, so the
-        # cache is dropped until the commit: a failed merge or write
-        # must not leave a half-merged study behind it.
-        self._study_cache = None
+        parts = dict(self._parts())
+        # The merge below mutates the cached snapshot part in place, so
+        # the cache is dropped until the commit: a failed merge or write
+        # must not leave a half-merged part behind it.
+        self._cache = None
         try:
-            # Merge `study` itself: CorpusStudy.merge changes none of
-            # its argument's data and copies whatever it keeps, so the
-            # caller keeps ownership, and the stitch reuses the
-            # decisions already made against the argument's streak
-            # heads (a watch cycle's delta was stitched onto its
-            # checkpoint a moment ago).
-            merged = current.merge(study)
+            part = study
+            if merge:
+                part = parts.get(owner, CorpusStudy(dedup=study.dedup)).merge(study)
+                incoming = study_to_dict(part)
+            parts[owner] = part
+            folded = _fold(parts)
         except ValueError as error:
             raise WarehouseError(f"cannot ingest {source}: {error}") from error
-        body = json.dumps(study_to_dict(merged), separators=(",", ":"))
         try:
             with self._connection:
                 self._connection.execute(
@@ -406,9 +439,11 @@ class StudyWarehouse:
                     ),
                 )
                 self._connection.execute(
-                    "INSERT OR REPLACE INTO study (id, body) VALUES (1, ?)", (body,)
+                    "INSERT INTO parts (owner, body) VALUES (?, ?)"
+                    " ON CONFLICT (owner) DO UPDATE SET body = excluded.body",
+                    (owner, json.dumps(incoming, separators=(",", ":"))),
                 )
-                self._rebuild_derived(merged)
+                self._rebuild_derived(folded)
                 generation = self.generation + 1
                 self._connection.execute(
                     "UPDATE meta SET value = ? WHERE key = 'generation'",
@@ -416,10 +451,10 @@ class StudyWarehouse:
                 )
         except sqlite3.Error as error:
             raise self._guard(error) from error
-        # The merged study is exactly what the stored body decodes to, so
-        # it becomes the cache of the new generation.
-        self._study_cache = (generation, merged)
-        return "merged"
+        # The parts are what the stored bodies decode to: they become
+        # the cache of the new generation.
+        self._cache = (generation, parts, folded)
+        return "merged" if merge else "replaced"
 
     def _rebuild_derived(self, study: CorpusStudy) -> None:
         """Rebuild the indexed derived tables from *study* (caller holds
@@ -476,30 +511,28 @@ class StudyWarehouse:
                 "INSERT INTO query_fts(query_fts) VALUES ('rebuild')"
             )
 
-    # -- the merged study -----------------------------------------------
+    # -- the served study -----------------------------------------------
+
+    def _parts(self) -> Dict[str, CorpusStudy]:
+        """The stored parts by owner, in fold (``seq``) order, decoded
+        once per generation."""
+        generation = self.generation
+        if self._cache is None or self._cache[0] != generation:
+            try:
+                rows = self._connection.execute(
+                    "SELECT owner, body FROM parts ORDER BY seq"
+                ).fetchall()
+            except sqlite3.Error as error:
+                raise self._guard(error) from error
+            parts = {owner: _decode_study(self.path, body) for owner, body in rows}
+            self._cache = (generation, parts, _fold(parts) if parts else None)
+        return self._cache[1]
 
     def study(self) -> Optional[CorpusStudy]:
-        """The merged study, or ``None`` for an empty warehouse.
-
-        Parsed from the stored snapshot document and cached per ingest
-        generation, so repeated renders don't re-decode; a writable
-        handle caches the study each of its own ingests merged, so it
-        never decodes the document again while no other handle
-        writes."""
-        generation = self.generation
-        if self._study_cache is not None and self._study_cache[0] == generation:
-            return self._study_cache[1]
-        try:
-            row = self._connection.execute(
-                "SELECT body FROM study WHERE id = 1"
-            ).fetchone()
-        except sqlite3.Error as error:
-            raise self._guard(error) from error
-        if row is None:
-            return None
-        study = _decode_study(self.path, row[0])
-        self._study_cache = (generation, study)
-        return study
+        """The served study, the fold of the parts, or ``None`` for an
+        empty warehouse (cached per generation, like the parts)."""
+        self._parts()
+        return self._cache[2]
 
     def _require_study(self) -> CorpusStudy:
         study = self.study()
@@ -513,7 +546,7 @@ class StudyWarehouse:
         """The full report in *format*, through the reporter registry.
 
         Byte-identical to ``repro report`` over the equivalently merged
-        snapshot — the warehouse stores exactly that snapshot."""
+        snapshot — the warehouse serves exactly the fold of its parts."""
         return render_report(self._require_study(), format)
 
     def table_text(self, table: int) -> str:
@@ -706,7 +739,7 @@ class StudyWarehouse:
     # -- introspection --------------------------------------------------
 
     def ingest_log(self) -> List[Dict[str, Any]]:
-        """The append ledger: every distinct snapshot ever merged."""
+        """The append ledger: every distinct study ever written."""
         try:
             rows = self._connection.execute(
                 "SELECT seq, digest, source, datasets, queries"

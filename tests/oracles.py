@@ -910,11 +910,11 @@ class ParserReference(Parser):
             return ast.Comparison(token.value, left, right)
         if token.is_keyword("IN"):
             self._next()
-            return ast.InExpression(left, self._parse_expression_list(), negated=False)
+            return ast.InExpression(left, self._parse_arguments()[1], negated=False)
         if token.is_keyword("NOT"):
             self._next()
             self._expect_keyword("IN")
-            return ast.InExpression(left, self._parse_expression_list(), negated=True)
+            return ast.InExpression(left, self._parse_arguments()[1], negated=True)
         return left
 
     def _parse_additive_expression(self) -> ast.Expression:

@@ -346,6 +346,14 @@ class TestExpressions:
         q = parse_query("ASK { ?s ?p ?o FILTER(?o NOT IN (1)) }")
         assert q.pattern.elements[1].expression.negated
 
+    def test_empty_in_list_may_hold_a_comment(self):
+        """``( #c\\n )`` lexes as two tokens, not NIL; the list is still
+        empty, like a call's argument list."""
+        for keyword in ("IN", "NOT IN"):
+            commented = parse_query(f"ASK {{ FILTER(?a {keyword} ( #c\n )) }}")
+            assert commented == parse_query(f"ASK {{ FILTER(?a {keyword} ()) }}")
+            assert commented.pattern.elements[0].expression.choices == ()
+
     def test_builtin_no_parens_filter(self):
         q = parse_query('ASK { ?s ?p ?o FILTER regex(?o, "x") }')
         expression = q.pattern.elements[1].expression

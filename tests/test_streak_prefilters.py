@@ -15,14 +15,12 @@ pairs and real log pairs:
   budget cutoff is exact on long texts and at every budget edge;
 * the one-loop bag bound equals the two-loop formula;
 * the per-scan DP-decision memo changes no streak and no accumulator;
-* the head memo leaves stitched accumulators equal to the serial scan,
-  each of its hits stands for one DP run, and a second stitch of the
-  same head onto an equal left side runs no DP;
+* the stitch memo leaves stitched accumulators equal to the serial
+  scan, and each of its hits stands for one DP run;
 * worker-precomputed boundary tables leave merges byte-identical;
 * lean-mode streak state is byte-identical to full-ingestion state.
 """
 
-import pickle
 import string
 
 from hypothesis import example, given, settings, strategies as st
@@ -267,7 +265,7 @@ def _accumulate(texts):
 )
 @settings(max_examples=30, deadline=None)
 def test_stitch_memo_changes_no_decision(sizes):
-    """Stitching 2-8 chunks equals the serial scan, and each head's
+    """Stitching 2-8 chunks equals the serial scan, and each stitch's
     memo answers repeated pairs instead of the DP.
 
     Every decision that passes the prefilters is either a DP run or a
@@ -291,81 +289,6 @@ def test_stitch_memo_changes_no_decision(sizes):
     assert stitched.to_dict() == serial.to_dict()
     assert merges["memo_hits"] > 0
     assert merges["dp_runs"] + merges["memo_hits"] == _passed_prefilters(merges)
-
-
-def _stitch_twice(texts, cut, window):
-    """Stitch one right-hand accumulator onto two equal left sides:
-    ``a1.merge(b)``, then ``a2.merge(b.copy())``.
-
-    Returns both results, the serial scan, ``b`` and each stitch's
-    counter increments.
-    """
-    def scan(part):
-        accumulator = StreakAccumulator(window=window)
-        for text in part:
-            accumulator.push(text)
-        return accumulator
-
-    left_1, left_2, right = scan(texts[:cut]), scan(texts[:cut]), scan(texts[cut:])
-    SIMILARITY_COUNTERS.reset()
-    left_1.merge(right)
-    first = SIMILARITY_COUNTERS.to_dict()
-    SIMILARITY_COUNTERS.reset()
-    left_2.merge(right.copy())
-    second = SIMILARITY_COUNTERS.to_dict()
-    return left_1, left_2, scan(texts), right, first, second
-
-
-@given(
-    seed=st.integers(0, 40),
-    size=st.integers(20, 160),
-    session_rate=st.sampled_from([0.3, 0.6, 0.9]),
-    window=st.sampled_from([4, 12, 30]),
-    cut_share=st.floats(0.05, 0.95),
-)
-@settings(max_examples=30, deadline=None)
-def test_second_stitch_of_a_head_reuses_its_decisions(
-    seed, size, session_rate, window, cut_share
-):
-    """The head memo travels with the right-hand accumulator (and its
-    copies): a second stitch of the same head onto an equal left side
-    runs no DP, and both stitches equal the serial scan."""
-    texts = generate_day_log(size, session_rate=session_rate, seed=seed)
-    cut = max(1, min(len(texts) - 1, int(len(texts) * cut_share)))
-    left_1, left_2, serial, right, first, second = _stitch_twice(texts, cut, window)
-    assert left_1 == left_2 == serial
-    assert left_1.to_dict() == left_2.to_dict() == serial.to_dict()
-    assert second["dp_runs"] == 0
-    assert first["comparisons"] == second["comparisons"]
-    passed = _passed_prefilters(first)
-    assert _passed_prefilters(second) == passed
-    assert (
-        first["dp_runs"] + first["memo_hits"]
-        + second["dp_runs"] + second["memo_hits"]
-    ) == 2 * passed
-    shipped = pickle.loads(pickle.dumps(right))
-    assert shipped._head_memo.young == shipped._head_memo.old == {}
-
-
-def test_second_stitch_reuses_decisions_on_the_bot_stream():
-    """The property above on a stream whose stitches surely reach the
-    DP: the first stitch runs it, the second only reads the memo, and
-    a shipped copy of the head starts over."""
-    cut = len(_BOT_STREAM) // 2 + 1
-    left_1, left_2, serial, right, first, second = _stitch_twice(
-        _BOT_STREAM, cut, window=30
-    )
-    assert left_1 == left_2 == serial
-    assert first["dp_runs"] > 0
-    assert second["dp_runs"] == 0
-    assert second["memo_hits"] == _passed_prefilters(second) > 0
-    assert right._head_memo.young
-    shipped = pickle.loads(pickle.dumps(right))
-    assert shipped._head_memo.young == shipped._head_memo.old == {}
-    left_3 = _accumulate(_BOT_STREAM[:cut])
-    SIMILARITY_COUNTERS.reset()
-    left_3.merge(shipped)
-    assert SIMILARITY_COUNTERS.to_dict() == first
 
 
 def test_bot_queries_reach_the_dp_and_differ():

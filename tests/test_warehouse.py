@@ -11,7 +11,9 @@ The contract under test (ISSUE 9 acceptance criteria):
 * the indexed tables (datasets, cells, streaks, caveats, search)
   answer without touching the study document;
 * a corrupt or foreign warehouse file raises ``WarehouseError`` (CLI:
-  a one-line message and exit 2), never a traceback.
+  a one-line message and exit 2), never a traceback;
+* a schema-1 file migrates on a writable open and renders the same
+  report; a read-only open of it says how to migrate it.
 """
 
 import hashlib
@@ -148,7 +150,7 @@ class TestIngest:
                 assert study_to_dict(handle.study()) == held
             connection = sqlite3.connect(path)
             bodies.append(
-                connection.execute("SELECT body FROM study WHERE id = 1").fetchone()[0]
+                connection.execute("SELECT body FROM parts WHERE owner = ''").fetchone()[0]
             )
             connection.close()
         assert bodies[0] == bodies[1]
@@ -332,6 +334,74 @@ class TestOpenErrors:
 
     def test_errors_are_repro_errors(self):
         assert issubclass(WarehouseError, ReproError)
+
+
+FORMATS = ("text", "json", "jsonl", "csv", "markdown")
+
+
+def rewrite_as_schema_1(path):
+    """Give a snapshot-fed warehouse the schema-1 layout: its snapshot
+    part becomes the single ``study`` row."""
+    connection = sqlite3.connect(path)
+    with connection:
+        connection.execute(
+            "CREATE TABLE study (id INTEGER PRIMARY KEY CHECK (id = 1),"
+            " body TEXT NOT NULL)"
+        )
+        connection.execute(
+            "INSERT INTO study (id, body) SELECT 1, body FROM parts WHERE owner = ''"
+        )
+        connection.execute("DROP TABLE parts")
+    connection.execute("PRAGMA user_version = 1")
+    connection.close()
+
+
+class TestSchema1Files:
+    """A warehouse written before study parts: a writable open migrates
+    it, a read-only open says how to."""
+
+    @pytest.fixture()
+    def old_file(self, tmp_path, shard_studies):
+        path = tmp_path / "old.db"
+        with StudyWarehouse.open(path) as handle:
+            for study in shard_studies:
+                handle.ingest(study)
+            reports = {fmt: handle.render(fmt) for fmt in FORMATS}
+        rewrite_as_schema_1(path)
+        return path, reports
+
+    def test_writable_open_migrates_and_renders_the_same(
+        self, old_file, shard_studies
+    ):
+        path, reports = old_file
+        with StudyWarehouse.open(path) as handle:
+            assert {fmt: handle.render(fmt) for fmt in FORMATS} == reports
+            assert handle.ingest(shard_studies[1]) == "unchanged"
+            assert handle.generation == 2
+        with StudyWarehouse.open(path, readonly=True) as handle:
+            assert {fmt: handle.render(fmt) for fmt in FORMATS} == reports
+        connection = sqlite3.connect(path)
+        assert connection.execute("PRAGMA user_version").fetchone()[0] == 2
+        assert connection.execute("SELECT seq, owner FROM parts").fetchall() == [
+            (1, "")
+        ]
+        connection.close()
+
+    def test_readonly_open_says_how_to_migrate(self, old_file):
+        path, _ = old_file
+        with pytest.raises(WarehouseError, match="open it for writing once") as error:
+            StudyWarehouse.open(path, readonly=True)
+        assert "\n" not in str(error.value)
+
+    @pytest.mark.parametrize(
+        "verb", [["warehouse", "query"], ["warehouse", "stats"], ["serve"]]
+    )
+    def test_readonly_verbs_exit_2(self, old_file, capsys, verb):
+        path, _ = old_file
+        assert main([*verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "warehouse schema 1" in err
 
 
 class TestFacade:

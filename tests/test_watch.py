@@ -13,8 +13,12 @@ layers here:
   randomized points; the cursor/study checkpoint pair is never torn,
   and resume always converges to the one-shot bytes;
 * tail-safety: unterminated lines and blocks are held back until
-  ``drain``; gzip sources grow by appended members; truncation and
-  prefix rewrites fail loudly instead of double-counting;
+  ``drain``; gzip sources grow by appended members, and an unfinished
+  member is retried; truncation and prefix rewrites fail loudly
+  instead of double-counting;
+* warehouse: the part a session stores renders exactly the
+  checkpoint after every cycle, tied rows included, and a failed or
+  missed write heals on the next cycle;
 * codec: the lean chain records round-trip, and legacy full-position
   chains (snapshot schema 2) decode to the identical accumulator;
 * memory: open-chain state stays O(window) per chain on a 50k-entry
@@ -85,6 +89,16 @@ def study_bytes(study) -> str:
     return json.dumps(study.to_dict(), sort_keys=True)
 
 
+def assert_warehouse_is_checkpoint(warehouse_path: Path, state: Path) -> None:
+    """The warehouse renders the checkpointed study, in every format."""
+    from repro.warehouse import StudyWarehouse
+
+    checkpoint = load_study(state / "study.json")
+    with StudyWarehouse.open(warehouse_path, readonly=True) as warehouse:
+        for fmt in ("text", "json", "jsonl", "csv", "markdown"):
+            assert warehouse.render(fmt) == render_report(checkpoint, fmt), fmt
+
+
 def run_watch_cycles(path: Path, state: Path, cuts, texts=STREAM):
     """Append *texts* slice by slice, one fresh WatchSession per cycle."""
     bounds = [0] + list(cuts) + [len(texts)]
@@ -142,7 +156,8 @@ class TestInvariant12:
 
     def test_multi_dataset_interleaved_growth(self, tmp_path):
         """Datasets growing in alternating cycles still report with the
-        one-shot counter order (dataset-major, not cycle-major)."""
+        one-shot counter order (dataset-major, not cycle-major), and
+        the warehouse renders the checkpoint after every cycle."""
         alpha, beta = tmp_path / "alpha.rq", tmp_path / "beta.rq"
         state = tmp_path / "state"
         slices = [
@@ -150,16 +165,19 @@ class TestInvariant12:
             ([], POOL[6:14]),
             (POOL[14:20], POOL[2:6]),
         ]
+        warehouse = tmp_path / "w.db"
         for index, (for_alpha, for_beta) in enumerate(slices):
             write_lines(alpha, for_alpha)
             write_lines(beta, for_beta)
-            session = WatchSession(
+            with WatchSession(
                 [str(alpha), str(beta)],
                 state,
                 metrics=METRICS,
                 streak_window=WINDOW,
-            )
-            session.cycle(drain=index == len(slices) - 1)
+                warehouse_path=warehouse,
+            ) as session:
+                session.cycle(drain=index == len(slices) - 1)
+            assert_warehouse_is_checkpoint(warehouse, state)
         reference = analyze_corpora(
             {
                 "alpha": POOL[:6] + POOL[14:20],
@@ -247,6 +265,71 @@ class TestTailBoundaries:
         assert outcome.new_entries["day"] == 1  # ...and arrives whole
         reference = one_shot(POOL[:3] + ["SELECT ?half WHERE { ?x <urn:p> ?y }"])
         assert study_bytes(session.study) == study_bytes(reference)
+
+    def half_gzip_member(self, tmp_path):
+        """A gzip log whose one member holds STREAM but is written only
+        up to half its bytes; returns (path, the other half)."""
+        payload = "".join(text.replace("\n", "\\n") + "\n" for text in STREAM)
+        member = gzip.compress(payload.encode("utf-8"), mtime=0)
+        source = tmp_path / "day.rq.gz"
+        source.write_bytes(member[: len(member) // 2])
+        return source, member[len(member) // 2:]
+
+    def test_half_gzip_member_is_retried(self, tmp_path):
+        """A gzip member its writer has not finished reads like an
+        unterminated line: a cycle consumes the complete entries
+        decompressed so far, and a later one the rest."""
+        import zlib
+
+        source, rest = self.half_gzip_member(tmp_path)
+        decompressed = zlib.decompressobj(wbits=31).decompress(
+            source.read_bytes()
+        )
+        session = WatchSession(
+            [str(source)], tmp_path / "state", metrics=METRICS,
+            streak_window=WINDOW,
+        )
+        first = session.cycle()
+        assert 0 < first.total_new == decompressed.count(b"\n") < len(STREAM)
+        assert session.cycle().total_new == 0
+        with source.open("ab") as handle:
+            handle.write(rest)
+        assert first.total_new + session.cycle().total_new == len(STREAM)
+        assert study_bytes(session.study) == study_bytes(one_shot(STREAM))
+
+    def test_drain_on_half_gzip_member_exits_2(self, tmp_path, capsys):
+        source, _ = self.half_gzip_member(tmp_path)
+        state = tmp_path / "state"
+        argv = ["watch", str(source), "--state", str(state), "--metrics", "shallow"]
+        assert main([*argv, "--no-drain"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert str(source) in err and "Compressed file ended" in err
+
+    @pytest.mark.parametrize("damage", ["deflate", "crc"])
+    def test_damaged_gzip_fails_without_drain(self, tmp_path, damage):
+        """Only an incomplete member is retried: corrupt deflate data or
+        a bad CRC fails the cycle at once."""
+        from repro.logs.sources import IncompleteGzip
+
+        source, rest = self.half_gzip_member(tmp_path)
+        data = bytearray(source.read_bytes() + rest)
+        if damage == "deflate":
+            for index in range(20, 60):
+                data[index] ^= 0xFF
+        else:
+            data[-8] ^= 0xFF  # the trailer's CRC-32
+        source.write_bytes(bytes(data))
+        session = WatchSession(
+            [str(source)], tmp_path / "state", metrics=METRICS,
+            streak_window=WINDOW,
+        )
+        with pytest.raises(gzip.BadGzipFile) as error:
+            session.cycle()
+        assert not isinstance(error.value, IncompleteGzip)
+        assert not (tmp_path / "state").exists()
 
     def test_blocks_held_back_until_blank_line(self, tmp_path):
         blocks = [
@@ -762,6 +845,91 @@ class TestWarehouseIntegration:
             "1", "2", "3",
         ]
 
+    def test_tied_rows_keep_the_checkpoint_order(self, tmp_path):
+        """Table 5 ties rank in the checkpoint's dataset order, not in
+        the order the cycles brought them: b's path arrives a cycle
+        before a's and still ranks after it."""
+        a, b = tmp_path / "a.rq", tmp_path / "b.rq"
+        state, warehouse = tmp_path / "state", tmp_path / "w.db"
+        cycles = [
+            (
+                ["SELECT * WHERE { ?s <urn:x> ?o }"],
+                ["SELECT * WHERE { ?s (<urn:p>|<urn:q>)* ?o }"],
+            ),
+            (["SELECT * WHERE { ?s <urn:p>/<urn:q> ?o }"], []),
+        ]
+        for for_a, for_b in cycles:
+            write_lines(a, for_a)
+            write_lines(b, for_b)
+            with WatchSession(
+                [str(a), str(b)], state, metrics=("paths",),
+                warehouse_path=warehouse,
+            ) as session:
+                session.cycle()
+        assert_warehouse_is_checkpoint(warehouse, state)
+
+    @pytest.mark.parametrize("grow_after", [True, False], ids=["grow", "idle"])
+    def test_failed_write_heals_on_the_next_cycle(
+        self, tmp_path, monkeypatch, grow_after
+    ):
+        import sqlite3
+
+        from repro.exceptions import WarehouseError
+        from repro.warehouse import StudyWarehouse
+
+        rebuild = StudyWarehouse._rebuild_derived
+        failures = []
+
+        def rebuild_or_fail(handle, study):
+            if failures:
+                failures.pop()
+                raise sqlite3.OperationalError("disk I/O error")
+            return rebuild(handle, study)
+
+        monkeypatch.setattr(StudyWarehouse, "_rebuild_derived", rebuild_or_fail)
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        warehouse = tmp_path / "w.db"
+        slices = [STREAM[:16], STREAM[16:32], STREAM[32:] if grow_after else []]
+        with WatchSession(
+            [str(source)], state, metrics=METRICS, streak_window=WINDOW,
+            warehouse_path=warehouse,
+        ) as session:
+            for index, texts in enumerate(slices):
+                write_lines(source, texts)
+                if index == 1:
+                    failures.append(True)
+                    with pytest.raises(WarehouseError, match="disk I/O error"):
+                        session.cycle()
+                else:
+                    session.cycle()
+        assert_warehouse_is_checkpoint(warehouse, state)
+
+    def test_idle_cycle_stores_what_another_session_checkpointed(self, tmp_path):
+        """A session run without the warehouse (or killed before its
+        write) leaves it behind; the next session's first cycle, idle
+        or not, catches it up."""
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        warehouse = tmp_path / "w.db"
+
+        def session(**kwargs):
+            return WatchSession(
+                [str(source)], state, metrics=METRICS, streak_window=WINDOW,
+                **kwargs,
+            )
+
+        write_lines(source, STREAM[:20])
+        with session(warehouse_path=warehouse) as first:
+            first.cycle()
+        write_lines(source, STREAM[20:])
+        session().cycle()
+        with session(warehouse_path=warehouse) as third:
+            assert not third.cycle().changed
+            assert not third.cycle().changed
+            log = third._warehouse.ingest_log()
+        assert len(log) == 2
+        assert log[-1]["queries"] == load_study(state / "study.json").query_count
+        assert_warehouse_is_checkpoint(warehouse, state)
+
 
 def counting(monkeypatch, module, name):
     """Wrap ``module.name`` so each call is counted; returns the tally."""
@@ -883,7 +1051,7 @@ class TestWarmSession:
             # cannot decode.
             connection = sqlite3.connect(tmp_path / "w.db")
             with connection:
-                connection.execute("UPDATE study SET body = '{'")
+                connection.execute("UPDATE parts SET body = '{'")
                 connection.execute(
                     "UPDATE meta SET value = '9' WHERE key = 'generation'"
                 )
