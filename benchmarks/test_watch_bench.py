@@ -20,20 +20,27 @@ whether the held handle renders exactly like a fresh read-only handle
 (invariant 11).  This leg runs every metric, streaks included, and
 also records how many streak similarity comparisons and DP runs the
 warehouse writes made after the first cycle: each write stores the
-session's study as it is and stitches nothing, so: none.  CI asserts
-these; they are counts and identities, so they hold on any runner.
+session's study as it is and stitches nothing, so: none.  It records
+what the session itself did after the first cycle: ``parse_query``
+calls, the distinct texts of each slice the dataset had not counted
+(a steady cycle parses exactly those), ``StreakAccumulator.merge``
+calls (new entries extend the live streak scan, so: none) and the
+streak similarity comparisons.  CI asserts these; they are counts and
+identities, so they hold on any runner.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
 from pathlib import Path
 
 from _bench_utils import banner
+import repro.logs.pipeline as pipeline
 from repro.analysis.passes import PASS_NAMES, SEQUENCE_PASS_NAMES
-from repro.analysis.streaks import SIMILARITY_COUNTERS
+from repro.analysis.streaks import SIMILARITY_COUNTERS, StreakAccumulator
 from repro.api import WatchSession, analyze_corpora, load_study
 from repro.warehouse import StudyWarehouse, store
 from repro.workload import generate_day_log
@@ -150,6 +157,22 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
             writes.append(SIMILARITY_COUNTERS.delta_since(before))
 
     monkeypatch.setattr(StudyWarehouse, "replace_part", counted_replace_part)
+    parses = []
+    parse_query = pipeline.parse_query
+
+    def counted_parse_query(*args, **kwargs):
+        parses.append(args[0])
+        return parse_query(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "parse_query", counted_parse_query)
+    merges = []
+    merge = StreakAccumulator.merge
+
+    def counted_merge(self, other):
+        merges.append(other.length)
+        return merge(self, other)
+
+    monkeypatch.setattr(StreakAccumulator, "merge", counted_merge)
     _append(log, texts[:base])
     cycle_seconds = []
     with WatchSession(
@@ -159,13 +182,24 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
         session.cycle()
         decodes.clear()
         writes.clear()
+        parses.clear()
+        merges.clear()
+        unseen_texts = 0
+        before = SIMILARITY_COUNTERS.to_dict()
         for index in range(CYCLES):
             start_entry = base + index * SLICE
-            _append(log, texts[start_entry : start_entry + SLICE])
+            batch = texts[start_entry : start_entry + SLICE]
+            counted = session._seen["day"]
+            unseen_texts += len({
+                text for text in batch
+                if hashlib.sha256(text.encode("utf-8")).hexdigest() not in counted
+            })
+            _append(log, batch)
             start = time.perf_counter()
             outcome = session.cycle(drain=index == CYCLES - 1)
             cycle_seconds.append(time.perf_counter() - start)
             assert outcome.total_new == SLICE
+        session_comparisons = SIMILARITY_COUNTERS.delta_since(before)["comparisons"]
         stored_study_decodes = len(decodes)
         warehouse_comparisons = sum(write["comparisons"] for write in writes)
         warehouse_dp_runs = sum(write["dp_runs"] for write in writes)
@@ -185,6 +219,10 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
                 "warehouse_comparisons": warehouse_comparisons,
                 "warehouse_dp_runs": warehouse_dp_runs,
                 "warehouse_identical": identical,
+                "session_parses": len(parses),
+                "session_unseen_texts": unseen_texts,
+                "session_streak_merges": len(merges),
+                "session_comparisons": session_comparisons,
             }
         }
     )
@@ -197,9 +235,16 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
         f"{warehouse_comparisons} / {warehouse_dp_runs}; "
         f"held render == fresh render: {identical}"
     )
+    print(
+        f"  session after the first cycle: {len(parses)} parses of "
+        f"{unseen_texts} uncounted texts; {len(merges)} streak stitches; "
+        f"{session_comparisons} similarity comparisons"
+    )
 
     assert stored_study_decodes == 0, "the held handle decoded its study again"
     assert len(writes) == CYCLES, "the session wrote its part once per cycle"
     assert warehouse_comparisons == 0, "the warehouse write compared query texts"
     assert warehouse_dp_runs == 0, "the warehouse re-ran the session's stitch DP"
     assert identical, "held-handle render must equal a fresh read-only render"
+    assert len(parses) == unseen_texts, "a steady cycle parsed a counted text"
+    assert not merges, "a steady cycle stitched a streak accumulator"

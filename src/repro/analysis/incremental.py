@@ -26,16 +26,17 @@ watch cycles):
   unterminated tail on a final cycle (an unfinished member fails).
 * **Cross-cycle deduplication.**  Table 1's Unique column and every
   main-body measurement run over first occurrences.  The checkpoint
-  carries the SHA-256 digests of all unique texts seen, so each cycle
-  measures exactly the queries whose first occurrence falls in its
-  slice — concatenated across cycles, that is precisely the one-shot
-  unique stream, in order.
+  carries the SHA-256 digests of all unique valid texts counted, so
+  each cycle measures exactly the queries whose first occurrence falls
+  in its slice — concatenated across cycles, that is precisely the
+  one-shot unique stream, in order.
 * **Streak resume tokens.**  The per-dataset
   :class:`~repro.analysis.streaks.StreakAccumulator` snapshots with
   the study; its open-chain records (lean: O(window) per chain,
-  however long the streak) are the resume state, and each cycle's
-  slice accumulator stitches on via the same merge the sharded scan
-  uses.
+  however long the streak) are the resume state.  Each cycle pushes
+  the dataset's new raw entries, in order, onto that live
+  accumulator, so the scan simply continues: nothing is stitched, and
+  the scan's bounded decision memo stays warm across cycles.
 
 The checkpoint keeps one cumulative study *per dataset* and derives
 the combined study by merging them in input order — the same stitch
@@ -44,9 +45,14 @@ still report with exactly the one-shot counter order (one-shot runs
 fold each dataset to completion before the next).
 
 A session does each fold once, following the semi-naïve rule (derive
-only from the new facts).  It stitches the combined study, and
-flattens it to the long rows the cycle diff compares, once per change
-of its per-dataset studies: idle cycles stitch nothing, and each
+only from the new facts).  A text whose digest its dataset already
+holds was Valid under the prefix environment the checkpoint's config
+fixes, so it counts toward Total and Valid without being parsed: a
+cycle parses only the texts its datasets have not counted (invalid
+texts are parsed again each time they recur).  The session stitches
+the combined study, and flattens it to the long rows the cycle diff
+compares, once per change of its per-dataset studies: idle cycles
+stitch nothing, and each
 cycle's diff takes the previous cycle's rows as its "before" side.
 The checkpoint is assembled from per-dataset fragments: each
 dataset's encoded seen-digest list and study are memoized until a
@@ -98,7 +104,7 @@ from typing import (
 
 from ..exceptions import StudySnapshotError, WarehouseError, WatchStateError
 from ..ioutils import atomic_write_text
-from ..logs.pipeline import ParsedQuery, QueryLog
+from ..logs.pipeline import LogShard, process_entries
 from ..logs.sources import (
     _PARSERS,
     DETECT_LINES,
@@ -109,10 +115,14 @@ from ..logs.sources import (
     source_paths,
 )
 from .context import AnalysisOptions, StructureCache
-from .parallel import build_query_logs_parallel, measure_chunk
-from .passes import resolve_passes, sequence_only_selection
+from .parallel import measure_chunk
+from .passes import (
+    resolve_passes,
+    resolve_sequence_passes,
+    sequence_only_selection,
+)
 from .snapshot import save_study, study_from_dict, study_to_dict
-from .study import CorpusStudy, _claim_streaks
+from .study import CorpusStudy
 
 if TYPE_CHECKING:
     from ..warehouse import StudyWarehouse
@@ -385,6 +395,11 @@ class WatchSession:
             lean_ingestion=sequence_only_selection(metrics),
         )
         resolve_passes(self.options.metrics)  # reject unknown metrics now
+        #: The streak pass when ``streaks`` is selected: Table 6 is the
+        #: only sequence metric (``DatasetStats.streaks`` carries it).
+        self._streak_pass = next(
+            iter(resolve_sequence_passes(self.options.metrics)), None
+        )
         self.extra_prefixes = (
             None if extra_prefixes is None else dict(extra_prefixes)
         )
@@ -608,25 +623,11 @@ class WatchSession:
             # The first cycle folds every dataset in, entries or not,
             # so the study lists them exactly like a one-shot run
             # would; later cycles only touch datasets that grew.
-            corpora = {
-                name: texts
-                for name, texts in new_texts.items()
-                if first or texts
-            }
-            logs = build_query_logs_parallel(
-                corpora,
-                self.extra_prefixes,
-                workers=1,
-                options=self.options,
-            )
             self._stitched = None  # the per-dataset studies change below
-            for name in corpora:
-                self._fragments.pop(name, None)
-                delta = self._measure_delta(name, logs[name])
-                if name in self._studies:
-                    self._studies[name].merge(delta)
-                else:
-                    self._studies[name] = delta
+            for name, texts in new_texts.items():
+                if first or texts:
+                    self._fragments.pop(name, None)
+                    self._ingest(name, texts)
         self.generation += 1
         self._write_checkpoint()
         if self.warehouse_path is not None:
@@ -662,26 +663,45 @@ class WatchSession:
             raise
         self._stored = study
 
-    def _measure_delta(self, name: str, log: QueryLog) -> CorpusStudy:
-        """Measure one dataset's cycle slice as a mergeable partial study.
+    def _ingest(self, name: str, texts: List[str]) -> None:
+        """Fold one dataset's new raw entries into its study.
 
-        Table 1 counters are the slice's own (they add across cycles);
-        the measured stream is the slice's *first-ever* occurrences —
-        concatenated over cycles that is the one-shot unique stream, in
-        order, which is what makes checkpoint ≡ one-shot exact.
+        Semi-naïve: a text whose digest the dataset already holds was
+        Valid under the prefix environment the checkpoint's config
+        fixes, so it counts toward Total and Valid unparsed.  Only the
+        other texts go through clean → parse → dedup, and their first
+        occurrences are the measured stream: concatenated over cycles,
+        the one-shot unique stream, in order, which is what makes
+        checkpoint ≡ one-shot exact.  The raw entries extend the
+        dataset's live streak scan, in order, so nothing is stitched.
         """
         seen = self._seen.setdefault(name, set())
-        fresh: List[ParsedQuery] = []
-        for parsed in log.unique_queries():
-            digest = _text_digest(parsed.text)
-            if digest not in seen:
-                seen.add(digest)
-                fresh.append(parsed)
-        study = measure_chunk(
-            name, fresh, options=self.options,
-            cache=self._structures,
+        if self.options.lean_ingestion:
+            shard = LogShard(total=len(texts))
+        else:
+            unseen = [text for text in texts if _text_digest(text) not in seen]
+            shard = process_entries(unseen, self.extra_prefixes)
+            shard.total = len(texts)
+            shard.valid += len(texts) - len(unseen)
+            seen.update(_text_digest(text) for text in shard.order)
+        log = shard.to_query_log(name)
+        delta = measure_chunk(
+            name, log.parsed, options=self.options, cache=self._structures
         )
-        stats = study.datasets[name]
-        stats.total, stats.valid, stats.unique = log.total, log.valid, len(fresh)
-        stats.streaks = _claim_streaks(name, log)
-        return study
+        stats = delta.datasets[name]
+        stats.total, stats.valid, stats.unique = log.total, log.valid, log.unique
+        study = self._studies.get(name)
+        if self._streak_pass is not None:
+            scan = (
+                self._streak_pass.start(self.options)
+                if study is None
+                else study.datasets[name].streaks
+            )
+            for text in texts:
+                scan.push(text)
+            if study is None:
+                stats.streaks = scan
+        if study is None:
+            self._studies[name] = delta
+        else:
+            study.merge(delta)

@@ -198,6 +198,12 @@ class Arithmetic(Expression):
     left: Expression
     right: Expression
 
+    def __eq__(self, other):
+        return _chain_eq(self, other, ("op", "right"))
+
+    def __hash__(self):
+        return hash(_chain_key(self, ("op", "right")))
+
     def __reduce__(self):
         return _reduce_chain(self, "op", "right")
 
@@ -317,6 +323,12 @@ class UnionPattern(Pattern):
     left: Pattern
     right: Pattern
 
+    def __eq__(self, other):
+        return _chain_eq(self, other, ("right",))
+
+    def __hash__(self):
+        return hash(_chain_key(self, ("right",)))
+
     def __reduce__(self):
         return _reduce_chain(self, "right")
 
@@ -361,16 +373,29 @@ class SubSelectPattern(Pattern):
     query: "Query"
 
 
-def _reduce_chain(node, *fields: str):
-    """Pickle a left-nested chain (``?a + ?b + ...``, ``{..} UNION {..}
-    UNION ...``) as its innermost left operand and one flat tuple of the
-    other *fields* of each link: the parser builds these chains in a
-    loop, so they may nest deeper than pickle can recurse."""
+def _chain_key(node, fields: Tuple[str, ...]):
+    """A left-nested chain (``?a + ?b + ...``, ``{..} UNION {..} UNION
+    ...``) as its innermost left operand and one flat tuple of the other
+    *fields* of each link, outermost first.  The parser builds these
+    chains in a loop, so they may nest deeper than recursion can follow:
+    pickling, hashing and ``==`` walk the left spine here instead."""
     kind, links = type(node), []
     while type(node) is kind:
         links.append(tuple(getattr(node, name) for name in fields))
         node = node.left
-    return _build_chain, (kind, node, fields, tuple(reversed(links)))
+    return node, tuple(links)
+
+
+def _chain_eq(node, other, fields: Tuple[str, ...]):
+    if other.__class__ is not node.__class__:
+        return NotImplemented
+    return node is other or _chain_key(node, fields) == _chain_key(other, fields)
+
+
+def _reduce_chain(node, *fields: str):
+    """Pickle a chain flat: its innermost left operand and its links."""
+    leftmost, links = _chain_key(node, fields)
+    return _build_chain, (type(node), leftmost, fields, links[::-1])
 
 
 def _build_chain(kind, node, fields, links):

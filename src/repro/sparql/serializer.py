@@ -14,6 +14,7 @@ from typing import List
 
 from ..rdf.terms import Variable
 from . import ast
+from .parser import _BINDING_POWER
 
 __all__ = ["serialize_query", "serialize_pattern", "serialize_expression", "serialize_path"]
 
@@ -160,9 +161,17 @@ def _element_text(element: ast.Pattern, indent: int) -> str:
             + serialize_pattern(element.pattern, indent)
         )
     if isinstance(element, ast.UnionPattern):
-        left = serialize_pattern(_ensure_group(element.left), indent)
-        right = serialize_pattern(_ensure_group(element.right), indent)
-        return f"{left} UNION {right}"
+        # The left spine in a loop: a union may have any number of
+        # branches, and ``{a} UNION {b} UNION {c}`` reparses left-nested.
+        branches = []
+        while isinstance(element, ast.UnionPattern):
+            branches.append(element.right)
+            element = element.left
+        branches.append(element)
+        return " UNION ".join(
+            serialize_pattern(_ensure_group(branch), indent)
+            for branch in reversed(branches)
+        )
     if isinstance(element, ast.ValuesPattern):
         return _values_text(element, indent)
     if isinstance(element, ast.SubSelectPattern):
@@ -259,10 +268,20 @@ def serialize_expression(expression: ast.Expression) -> str:
         choices = ", ".join(serialize_expression(e) for e in expression.choices)
         return f"{_expr_operand(expression.operand)} {keyword} ({choices})"
     if isinstance(expression, ast.Arithmetic):
-        return (
-            f"{_expr_operand(expression.left)} {expression.op} "
-            f"{_expr_operand(expression.right)}"
-        )
+        # The left spine in a loop and unparenthesized while its
+        # operators bind at least as tightly: ``+ - * /`` nest to the
+        # left, so ``?a + ?b * ?c - ?d`` reparses to the same tree.
+        links = []
+        while True:
+            links.append(f" {expression.op} {_expr_operand(expression.right)}")
+            left = expression.left
+            if not (
+                isinstance(left, ast.Arithmetic)
+                and _BINDING_POWER[left.op] >= _BINDING_POWER[expression.op]
+            ):
+                break
+            expression = left
+        return _expr_operand(left) + "".join(reversed(links))
     if isinstance(expression, ast.UnaryMinus):
         return "-" + _expr_operand(expression.operand)
     if isinstance(expression, ast.FunctionCall):

@@ -403,7 +403,13 @@ class StudyWarehouse:
         if self.readonly:
             raise WarehouseError(f"{self.path}: warehouse opened read-only")
         incoming = study_to_dict(study)
-        digest = snapshot_digest(incoming)
+        body = json.dumps(incoming, separators=(",", ":"))
+        # Unprofiled, the part body is the text snapshot_digest hashes.
+        digest = (
+            hashlib.sha256(body.encode("utf-8")).hexdigest()
+            if incoming.get("pass_profile") is None
+            else snapshot_digest(incoming)
+        )
         try:
             known = self._connection.execute(
                 "SELECT 1 FROM ingests WHERE digest = ?", (digest,)
@@ -421,7 +427,7 @@ class StudyWarehouse:
             part = study
             if merge:
                 part = parts.get(owner, CorpusStudy(dedup=study.dedup)).merge(study)
-                incoming = study_to_dict(part)
+                body = json.dumps(study_to_dict(part), separators=(",", ":"))
             parts[owner] = part
             folded = _fold(parts)
         except ValueError as error:
@@ -441,7 +447,7 @@ class StudyWarehouse:
                 self._connection.execute(
                     "INSERT INTO parts (owner, body) VALUES (?, ?)"
                     " ON CONFLICT (owner) DO UPDATE SET body = excluded.body",
-                    (owner, json.dumps(incoming, separators=(",", ":"))),
+                    (owner, body),
                 )
                 self._rebuild_derived(folded)
                 generation = self.generation + 1

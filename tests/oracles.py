@@ -461,6 +461,39 @@ def streak_histogram_reference(
     return histogram
 
 
+def streak_state_reference(
+    queries: Iterable[str],
+    window: int = DEFAULT_STREAK_WINDOW,
+    threshold: float = DEFAULT_STREAK_THRESHOLD,
+) -> Dict[str, object]:
+    """``StreakAccumulator.to_dict()`` of a scan of *queries*, read off
+    :func:`streaks_reference`: the first *window* stripped texts are the
+    head; a streak keeps its record while its tail is within *window* of
+    the stream end or it was founded in the head, and every other streak
+    is one count of its length."""
+    stripped = [PreparedText.from_raw(text).text for text in queries]
+    chains, closed = [], {}
+    for members in streaks_reference(queries, window, threshold):
+        if len(stripped) - members[-1] <= window or members[0] < window:
+            chains.append({
+                "start": members[0],
+                "length": len(members),
+                "end": members[-1],
+                "head_positions": [p for p in members if p < window],
+                "tail": stripped[members[-1]],
+            })
+        else:
+            closed[len(members)] = closed.get(len(members), 0) + 1
+    return {
+        "window": window,
+        "threshold": threshold,
+        "length": len(stripped),
+        "head": stripped[:window],
+        "chains": chains,
+        "closed": [[length, count] for length, count in sorted(closed.items())],
+    }
+
+
 def checkpoint_text_reference(session) -> str:
     """What ``checkpoint.json`` must hold for *session*'s current state:
     the whole document built and encoded in one ``json.dumps`` call."""

@@ -3,8 +3,9 @@
 A query nested deeper than :data:`MAX_NESTING_DEPTH` is a syntax error
 that names the limit; a query at the limit parses, and its AST ships
 to a pool worker, on every supported Python version.  The two chains
-the parser builds without nesting, ``UNION`` and ``+ - * /``, pickle
-flat, so a chain of any length ships too.
+the parser builds without nesting, ``UNION`` and ``+ - * /``, pickle,
+hash, compare and serialize without recursing along the chain, so a
+chain of any length ships and round-trips too.
 """
 
 import pickle
@@ -15,7 +16,7 @@ from repro.analysis.snapshot import load_study
 from repro.cli import main
 from repro.exceptions import SparqlSyntaxError
 from repro.logs import build_query_log, encode_access_log_line
-from repro.sparql import parse_query
+from repro.sparql import parse_query, serialize_query
 from repro.sparql.parser import MAX_NESTING_DEPTH
 
 LIMIT_ERROR = f"nests deeper than the limit of {MAX_NESTING_DEPTH} levels"
@@ -83,9 +84,33 @@ def test_deep_query_log_reports_the_same_at_two_workers(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("name", ["union", "sum"])
 def test_chains_pickle_flat(name):
-    # Compared by their bytes: ``==`` on a chain this long still recurses.
     data = pickle.dumps(parse_query(DEEP[name]))
     assert pickle.dumps(pickle.loads(data)) == data
+
+
+#: 1,500-link chains: far past where a recursive ``hash``, ``==`` or
+#: serializer fails (about 600 links on Python 3.11).
+LONG = {
+    "union": "SELECT * WHERE { "
+    + " UNION ".join(f"{{ ?s <urn:p{i % 9}> ?o }}" for i in range(1501))
+    + " }",
+    "sum": "SELECT * WHERE { ?s <urn:p> ?a FILTER("
+    + " + ".join(f"?a{i % 5}" for i in range(1501)) + " > 0) }",
+    "mixed": "SELECT * WHERE { ?s <urn:p> ?a FILTER("
+    + " - ".join(f"?a * {i % 4} / ?b + (?a - ?c)" for i in range(500)) + " > 0) }",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG))
+def test_long_chains_hash_compare_and_round_trip(name):
+    query = parse_query(LONG[name])
+    again = parse_query(LONG[name])
+    assert query is not again
+    assert query == again and hash(query) == hash(again)
+    assert parse_query(serialize_query(query)) == query
+    other = parse_query(LONG[name].replace("?a", "?z", 1) if name != "union"
+                        else LONG[name].replace("<urn:p0>", "<urn:q>", 1))
+    assert query != other
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
