@@ -33,6 +33,8 @@ from _bench_utils import banner, record_ablation
 from oracles import _levenshtein_banded, _levenshtein_full, _similar_reference
 
 from repro.analysis import levenshtein
+from repro.analysis.context import AnalysisOptions
+from repro.analysis.parallel import build_query_logs_parallel
 from repro.analysis.streaks import (
     SIMILARITY_COUNTERS,
     PreparedText,
@@ -40,7 +42,7 @@ from repro.analysis.streaks import (
     prepared_similar,
     strip_prefixes,
 )
-from repro.api import analyze_corpora
+from repro.analysis.study import study_corpus
 from repro.workload import generate_day_log
 
 #: Lookbehind used to build realistic comparison pairs: each query
@@ -294,16 +296,24 @@ def test_ablation_budget_cutoff():
     )
 
 
+def _streaks_study(log, lean):
+    """A sequence-only streaks study through the drivers, with the
+    clean → parse → dedup pipeline skipped (*lean*) or run in full."""
+    options = AnalysisOptions(metrics=("streaks",), lean_ingestion=lean)
+    logs = build_query_logs_parallel({"day": log}, options=options)
+    return study_corpus(logs, options=options)
+
+
 def test_ablation_lean_ingestion():
     """Lean vs full ingestion of a sequence-only streaks study."""
     log = generate_day_log(600, session_rate=0.3, seed=8)
 
     started = time.monotonic()
-    full = analyze_corpora({"day": log}, metrics=("streaks",), lean=False)
+    full = _streaks_study(log, lean=False)
     full_elapsed = time.monotonic() - started
 
     started = time.monotonic()
-    lean = analyze_corpora({"day": log}, metrics=("streaks",), lean=True)
+    lean = _streaks_study(log, lean=True)
     lean_elapsed = time.monotonic() - started
 
     banner("Ablation: lean vs full ingestion (sequence-only study)")
@@ -313,11 +323,9 @@ def test_ablation_lean_ingestion():
 
     # Identical streak state — only Table 1's Valid/Unique differ
     # (0 in lean runs: the parse stage never ran).
-    assert (
-        lean.study.datasets["day"].streaks == full.study.datasets["day"].streaks
-    )
-    assert lean.study.datasets["day"].total == full.study.datasets["day"].total
-    assert lean.study.datasets["day"].valid == 0
+    assert lean.datasets["day"].streaks == full.datasets["day"].streaks
+    assert lean.datasets["day"].total == full.datasets["day"].total
+    assert lean.datasets["day"].valid == 0
     record_ablation(
         {
             "name": "lean_ingestion",

@@ -141,7 +141,7 @@ def test_table6_sharded_vs_serial_walltime():
             qlog = build_query_logs_parallel(
                 {"day": log}, options=options, pool=pool, transport=stats,
             )["day"]
-            return qlog.sequences["streaks"], stats
+            return qlog.streaks, stats
 
         sharded, transport = run_sharded()  # warm-up (pool start-up)
         sharded_seconds = float("inf")

@@ -33,11 +33,8 @@ from .passes import (
     SEQUENCE_PASS_NAMES,
     AnalysisPass,
     PassProfile,
-    SequencePass,
-    StreaksPass,
     default_passes,
     resolve_passes,
-    resolve_sequence_passes,
     run_passes,
 )
 from .property_paths import (
@@ -71,14 +68,11 @@ __all__ = [
     "PASS_NAMES",
     "SEQUENCE_PASS_NAMES",
     "PassProfile",
-    "SequencePass",
-    "StreaksPass",
     "StructureCache",
     "default_passes",
     "graph_signature",
     "hypergraph_signature",
     "resolve_passes",
-    "resolve_sequence_passes",
     "run_passes",
     "Hypergraph",
     "canonical_graph",

@@ -116,12 +116,9 @@ from ..logs.sources import (
 )
 from .context import AnalysisOptions, StructureCache
 from .parallel import measure_chunk
-from .passes import (
-    resolve_passes,
-    resolve_sequence_passes,
-    sequence_only_selection,
-)
+from .passes import resolve_passes, sequence_only_selection, streaks_selected
 from .snapshot import save_study, study_from_dict, study_to_dict
+from .streaks import StreakAccumulator
 from .study import CorpusStudy
 
 if TYPE_CHECKING:
@@ -395,11 +392,7 @@ class WatchSession:
             lean_ingestion=sequence_only_selection(metrics),
         )
         resolve_passes(self.options.metrics)  # reject unknown metrics now
-        #: The streak pass when ``streaks`` is selected: Table 6 is the
-        #: only sequence metric (``DatasetStats.streaks`` carries it).
-        self._streak_pass = next(
-            iter(resolve_sequence_passes(self.options.metrics)), None
-        )
+        self._scan_streaks = streaks_selected(self.options.metrics)
         self.extra_prefixes = (
             None if extra_prefixes is None else dict(extra_prefixes)
         )
@@ -691,9 +684,11 @@ class WatchSession:
         stats = delta.datasets[name]
         stats.total, stats.valid, stats.unique = log.total, log.valid, log.unique
         study = self._studies.get(name)
-        if self._streak_pass is not None:
+        if self._scan_streaks:
             scan = (
-                self._streak_pass.start(self.options)
+                StreakAccumulator(
+                    self.options.streak_window, self.options.streak_threshold
+                )
                 if study is None
                 else study.datasets[name].streaks
             )

@@ -90,14 +90,9 @@ from typing import (
 
 from ..logs.pipeline import LogShard, ParseCache, ParsedQuery, QueryLog, process_entries
 from .context import DEFAULT_OPTIONS, AnalysisOptions, StructureCache
-from .passes import (
-    PassProfile,
-    resolve_passes,
-    resolve_sequence_passes,
-    run_passes,
-)
-from .streaks import SIMILARITY_COUNTERS
-from .study import CorpusStudy, DatasetStats, _claim_streaks
+from .passes import PassProfile, resolve_passes, run_passes, streaks_selected
+from .streaks import SIMILARITY_COUNTERS, StreakAccumulator
+from .study import CorpusStudy, DatasetStats
 
 __all__ = [
     "DEFAULT_STREAM_CHUNK_SIZE",
@@ -354,56 +349,6 @@ def _pool_structure_cache(options: AnalysisOptions) -> StructureCache:
     return cache
 
 
-def _attach_sequences(
-    shard: LogShard,
-    texts: List[str],
-    options: Optional[AnalysisOptions],
-    lookahead: Optional[List[str]] = None,
-) -> LogShard:
-    """Feed this chunk's *raw* texts, in order, to every selected
-    sequence pass and hang the accumulators on the shard.
-
-    Sequence passes (streak detection) must see the stream *before*
-    deduplication — duplicate entries are exactly what streaks are made
-    of — so they ride the ingestion chunks, not the measure phase.
-
-    *lookahead* — the first ``window`` raw texts of the *next* chunk of
-    the same dataset — lets the worker precompute the similarity
-    decisions the parent's merge-time boundary stitch will need
-    (:meth:`~repro.analysis.streaks.StreakAccumulator
-    .precompute_boundary`), moving that scoring off the serial merge
-    path and onto the pool.
-    """
-    if options is None:
-        return shard
-    for sequence_pass in resolve_sequence_passes(options.metrics):
-        accumulator = sequence_pass.start(options)
-        for text in texts:
-            accumulator.push(text)
-        if lookahead is not None and hasattr(accumulator, "precompute_boundary"):
-            accumulator.precompute_boundary(lookahead)
-        shard.sequences[sequence_pass.name] = accumulator
-    return shard
-
-
-def _ingest_chunk(
-    texts: List[str],
-    extra_prefixes: Optional[Dict[str, str]],
-    options: Optional[AnalysisOptions],
-    cache: Optional[ParseCache],
-) -> LogShard:
-    """Clean → parse → dedup one chunk — or skip all three in lean mode.
-
-    Lean ingestion (``options.lean_ingestion``) applies when only
-    sequence passes are selected: they read the raw ordered stream, so
-    the shard needs nothing but its Total counter.  Valid/Unique then
-    honestly report 0 — the parse stage never ran.
-    """
-    if options is not None and options.lean_ingestion:
-        return LogShard(total=len(texts))
-    return process_entries(texts, extra_prefixes=extra_prefixes, cache=cache)
-
-
 def _ingest_scored(
     name: str,
     texts: List[str],
@@ -412,7 +357,23 @@ def _ingest_scored(
     lookahead: Optional[List[str]],
     cache: Optional[ParseCache],
 ) -> Tuple[str, LogShard, Optional[Dict[str, int]]]:
-    """Ingest one chunk, capturing the similarity-counter delta it caused.
+    """Clean → parse → dedup one chunk and, with *options* (which the
+    driver passes only when ``streaks`` is selected), scan its raw
+    texts for streaks, capturing the similarity-counter delta it caused.
+
+    Streak detection must see the stream *before* deduplication —
+    duplicate entries are exactly what streaks are made of — so it
+    rides the ingestion chunks, not the measure phase.  Lean ingestion
+    (``options.lean_ingestion``, a ``streaks``-only selection) skips
+    clean → parse → dedup: the shard needs nothing but its Total
+    counter, and Valid/Unique honestly report 0.
+
+    *lookahead* — the first ``window`` raw texts of the *next* chunk of
+    the same dataset — lets the worker precompute the similarity
+    decisions the parent's merge-time boundary stitch will need
+    (:meth:`~repro.analysis.streaks.StreakAccumulator
+    .precompute_boundary`), moving that scoring off the serial merge
+    path and onto the pool.
 
     :data:`~repro.analysis.streaks.SIMILARITY_COUNTERS` is per-process
     state; without this capture, counter work done on pool workers
@@ -425,10 +386,18 @@ def _ingest_scored(
     shipped delta unconditionally.
     """
     if options is None:
-        return name, _ingest_chunk(texts, extra_prefixes, None, cache), None
+        return name, process_entries(texts, extra_prefixes, cache), None
+    if options.lean_ingestion:
+        shard = LogShard(total=len(texts))
+    else:
+        shard = process_entries(texts, extra_prefixes, cache)
     before = SIMILARITY_COUNTERS.to_dict()
-    shard = _ingest_chunk(texts, extra_prefixes, options, cache)
-    shard = _attach_sequences(shard, texts, options, lookahead)
+    scan = StreakAccumulator(options.streak_window, options.streak_threshold)
+    for text in texts:
+        scan.push(text)
+    if lookahead is not None:
+        scan.precompute_boundary(lookahead)
+    shard.streaks = scan
     delta = SIMILARITY_COUNTERS.delta_since(before)
     SIMILARITY_COUNTERS.restore(before)
     return name, shard, delta
@@ -609,21 +578,21 @@ def build_query_logs_parallel(
     over the whole stream.  *transport* (when given) receives the
     shipped-bytes and merge-time accounting.
 
-    *options* selects sequence passes (``metrics`` containing
+    *options* may select the streak scan (``metrics`` containing
     ``streaks``): each chunk then also feeds its raw texts, in order,
     to a per-chunk :class:`~repro.analysis.streaks.StreakAccumulator`,
     and the chunk accumulators are stitched in stream order onto
-    ``QueryLog.sequences`` — byte-identical to a serial scan of the
+    ``QueryLog.streaks`` — byte-identical to a serial scan of the
     whole log.  Each chunk payload also carries a lookahead of its
     successor's head, so workers pre-score the boundary similarity
     decisions the stitch will consult instead of computing them on the
     serial merge path.  With ``options.lean_ingestion`` the parse /
-    dedup / AST stages are skipped entirely (sequence passes read the
+    dedup / AST stages are skipped entirely (the streak scan reads the
     raw stream): Total stays exact, Valid/Unique report 0.
     """
     workers = pool.workers if pool is not None else resolve_workers(workers)
     schedule = _chunk_schedule(chunk_size, _corpus_total(corpora), workers)
-    if options is not None and not resolve_sequence_passes(options.metrics):
+    if options is not None and not streaks_selected(options.metrics):
         options = None  # nothing order-aware to compute; keep payloads lean
     if (
         options is not None
@@ -636,7 +605,7 @@ def build_query_logs_parallel(
         options = replace(options, lean_ingestion=False)
     # Boundary lookahead: give each chunk the first streak-window texts
     # of its successor, so workers pre-score the merge-time boundary
-    # stitch (see _attach_sequences).  Costs holding one extra chunk in
+    # stitch (see _ingest_scored).  Costs holding one extra chunk in
     # the producer — the backpressure window is unchanged.
     lookahead_size = options.streak_window if options is not None else 0
 
@@ -687,12 +656,12 @@ def build_query_logs_parallel(
             SIMILARITY_COUNTERS.add(counter_delta)
     if options is not None:
         # An empty corpus yields zero chunks and therefore no worker-built
-        # accumulators; selected sequence metrics must still come back as
+        # accumulator; a selected streak scan must still come back as
         # (empty) state, exactly like a serial scan of an empty stream.
         for shard in merged.values():
-            for sequence_pass in resolve_sequence_passes(options.metrics):
-                shard.sequences.setdefault(
-                    sequence_pass.name, sequence_pass.start(options)
+            if shard.streaks is None:
+                shard.streaks = StreakAccumulator(
+                    options.streak_window, options.streak_threshold
                 )
     return {name: shard.to_query_log(name) for name, shard in merged.items()}
 
@@ -730,12 +699,13 @@ def study_corpus_parallel(
     total = sum(log.unique for log in logs.values())
     schedule = _chunk_schedule(chunk_size, total, workers)
     for name, log in logs.items():
-        # The sequence accumulators (like the Table 1 counters) were
-        # computed at ingestion over the whole ordered stream; chunk
-        # studies carry none, so merging never double-counts them.
+        # The streak scan (like the Table 1 counters) was computed at
+        # ingestion over the whole ordered stream; chunk studies carry
+        # none, so merging never double-counts it.  Copied so merging
+        # studies never mutates the log.
         study.datasets[name] = DatasetStats(
             name=name, total=log.total, valid=log.valid, unique=log.unique,
-            streaks=_claim_streaks(name, log),
+            streaks=None if log.streaks is None else log.streaks.copy(),
         )
 
     def chunk_payloads() -> Iterator[Tuple[str, List[ParsedQuery], bool, AnalysisOptions]]:

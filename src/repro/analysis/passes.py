@@ -37,7 +37,6 @@ from ..sparql.serializer import serialize_path
 from .context import DEFAULT_OPTIONS, AnalysisContext, AnalysisOptions, StructureCache
 from .operators import TABLE3_ROWS
 from .property_paths import classify_path
-from .streaks import StreakAccumulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .study import CorpusStudy, DatasetStats
@@ -48,13 +47,11 @@ __all__ = [
     "SEQUENCE_PASS_NAMES",
     "AnalysisPass",
     "PassProfile",
-    "SequencePass",
-    "StreaksPass",
     "default_passes",
     "resolve_passes",
-    "resolve_sequence_passes",
     "run_passes",
     "sequence_only_selection",
+    "streaks_selected",
 ]
 
 #: Cap on the number of non-Ctract path expressions kept for Table 5.
@@ -255,48 +252,6 @@ class StructurePass:
             study.girth_hist[result.profile.shortest_cycle] += weight
 
 
-class SequencePass(Protocol):
-    """A measurement over the *ordered* query stream (paper §8).
-
-    Per-query passes see one memoized context at a time and may not
-    depend on stream position; a sequence pass is the opposite kind: it
-    consumes the raw entry stream in order, with bounded lookbehind,
-    through a mergeable accumulator.  :meth:`start` creates the
-    per-chunk accumulator; the drivers feed every entry of the chunk to
-    ``accumulator.push`` and stitch chunk accumulators together with
-    ``accumulator.merge`` in stream order, so sharded and streamed runs
-    reproduce the serial scan exactly.
-
-    Sequence passes run during *ingestion* (the ordered stream no
-    longer exists after deduplication) and their results travel on
-    ``LogShard.sequences`` → ``QueryLog.sequences`` →
-    ``DatasetStats.streaks``.
-    """
-
-    #: Registry key, part of the ``--metrics`` vocabulary.
-    name: str
-
-    def start(self, options: AnalysisOptions) -> StreakAccumulator:
-        """A fresh accumulator for one chunk of the ordered stream."""
-        ...
-
-
-class StreaksPass:
-    """Streak detection (Table 6) as a mergeable sequence pass.
-
-    Opt-in (``--metrics streaks``): the paper calls streak discovery
-    "extremely resource-consuming", so it never rides along silently.
-    """
-
-    name = "streaks"
-
-    def start(self, options: AnalysisOptions) -> StreakAccumulator:
-        """A fresh accumulator with the run's window/threshold."""
-        return StreakAccumulator(
-            window=options.streak_window, threshold=options.streak_threshold
-        )
-
-
 #: The ordered default pipeline.  Order is documentation (it mirrors
 #: the paper's sections); correctness does not depend on it because
 #: passes own disjoint counters.
@@ -308,11 +263,11 @@ _REGISTRY: "Dict[str, AnalysisPass]" = {
 #: Registry order, the vocabulary of ``--metrics``.
 PASS_NAMES: Tuple[str, ...] = tuple(_REGISTRY)
 
-#: Sequence passes, also selectable via ``--metrics`` — but opt-in:
-#: ``metrics=None`` means every per-query pass and *no* sequence pass.
-_SEQUENCE_REGISTRY: "Dict[str, SequencePass]" = {p.name: p for p in (StreaksPass(),)}
-
-SEQUENCE_PASS_NAMES: Tuple[str, ...] = tuple(_SEQUENCE_REGISTRY)
+#: Sequence metrics, also selectable via ``--metrics`` — but opt-in:
+#: ``metrics=None`` means every per-query pass and *no* sequence metric.
+#: ``streaks`` (Table 6) is the only one; it scans the ordered raw
+#: stream during ingestion, so it is no :class:`AnalysisPass`.
+SEQUENCE_PASS_NAMES: Tuple[str, ...] = ("streaks",)
 
 
 def default_passes() -> Tuple[AnalysisPass, ...]:
@@ -337,8 +292,8 @@ def resolve_passes(metrics: Optional[Iterable[str]]) -> Tuple[AnalysisPass, ...]
     ``None`` (or selecting everything) is the default pipeline.  The
     selection is normalized to registry order so output never depends
     on how the user spelled it; unknown names raise ``ValueError``.
-    Sequence-pass names (``streaks``) are accepted and skipped here —
-    :func:`resolve_sequence_passes` is their half of the split.
+    Sequence-metric names (``streaks``) are accepted and skipped here —
+    :func:`streaks_selected` is their half of the split.
     """
     if metrics is None:
         return default_passes()
@@ -346,23 +301,14 @@ def resolve_passes(metrics: Optional[Iterable[str]]) -> Tuple[AnalysisPass, ...]
     return tuple(_REGISTRY[name] for name in PASS_NAMES if name in requested)
 
 
-def resolve_sequence_passes(
-    metrics: Optional[Iterable[str]],
-) -> Tuple[SequencePass, ...]:
-    """The sequence passes a ``--metrics`` selection opts into.
+def streaks_selected(metrics: Optional[Iterable[str]]) -> bool:
+    """Whether a ``--metrics`` selection opts into the streak scan.
 
-    ``None`` — the default pipeline — selects none: sequence passes run
-    only when named explicitly, because they scan the full ordered
-    stream during ingestion.
+    ``None`` — the default pipeline — does not: streaks run only when
+    named explicitly, because they scan the full ordered stream during
+    ingestion.
     """
-    if metrics is None:
-        return ()
-    requested = _check_known(metrics)
-    return tuple(
-        _SEQUENCE_REGISTRY[name]
-        for name in SEQUENCE_PASS_NAMES
-        if name in requested
-    )
+    return metrics is not None and "streaks" in _check_known(metrics)
 
 
 def sequence_only_selection(metrics: Optional[Iterable[str]]) -> bool:

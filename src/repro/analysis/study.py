@@ -429,26 +429,6 @@ class CorpusStudy:
         return rows
 
 
-def _claim_streaks(name: str, log: QueryLog) -> Optional[StreakAccumulator]:
-    """Take the streak state off a log's sequence results — loudly.
-
-    Every sequence-pass result must land on a :class:`DatasetStats`
-    field (mirroring the merge machinery's no-silent-drop rule): a
-    future pass whose results nothing here claims would otherwise be
-    computed at ingestion and then vanish from the study.  The
-    accumulator is copied so merging studies never mutates the log.
-    """
-    unclaimed = set(log.sequences) - {"streaks"}
-    if unclaimed:
-        raise TypeError(
-            f"dataset {name!r}: no DatasetStats field carries the results "
-            f"of sequence pass(es) {sorted(unclaimed)}; add a field and a "
-            "snapshot codec entry alongside the pass"
-        )
-    accumulator = log.sequences.get("streaks")
-    return None if accumulator is None else accumulator.copy()
-
-
 def measure_query(
     parsed: ParsedQuery,
     dataset: str = "corpus",

@@ -6,7 +6,7 @@ paper's study lives behind three small types:
 * :class:`AnalysisRequest` — a frozen, typed description of *what* to
   analyze: file inputs or in-memory corpora, the corpus flavour
   (``dedup``), the pass selection and limits, and the execution knobs
-  (workers, chunk size, streaming ingestion).
+  (workers, chunk size).
 * :class:`AnalysisSession` — the orchestrator: resolves inputs, runs
   ingestion (clean → parse → dedup) and the analyzer-pass study, and
   wraps the outcome.  One session serves many requests, holding a
@@ -31,8 +31,10 @@ Quickstart::
     from repro.api import load_study, merge_studies
     merged = merge_studies([load_study("a.json"), load_study("b.json")])
 
-All invariants of the underlying drivers hold through the facade:
-serial ≡ sharded ≡ streamed byte-identity, and
+File inputs always stream (bounded-memory ingestion); in-memory
+corpora keep the sized chunk schedule.  All invariants of the
+underlying drivers hold through the facade: serial ≡ sharded ≡
+streamed byte-identity, and
 ``merge(load(a), load(b)) ≡ merge(a, b)`` round-trips exactly.
 """
 
@@ -62,7 +64,6 @@ from .analysis.snapshot import load_study, save_study
 from .analysis.streaks import DEFAULT_STREAK_THRESHOLD, DEFAULT_STREAK_WINDOW
 from .analysis.study import CorpusStudy, study_corpus
 from .logs import QueryLog, dataset_name, iter_entries
-from .logs.sources import read_entries
 from .reporting.reporters import render_report
 
 if TYPE_CHECKING:
@@ -132,8 +133,6 @@ class AnalysisRequest:
     streak_window: int = DEFAULT_STREAK_WINDOW
     #: Normalized-Levenshtein similarity threshold for streaks.
     streak_threshold: float = DEFAULT_STREAK_THRESHOLD
-    #: Stream file inputs lazily (bounded-memory ingestion).
-    stream: bool = False
     #: Worker processes for ingestion and measurement: a positive int
     #: (1 = in-process) or ``"auto"`` for all CPUs available to this
     #: process — the recommended setting on multi-core machines.
@@ -144,18 +143,14 @@ class AnalysisRequest:
     chunk_size: Optional[int] = None
     #: Extra PREFIX declarations assumed by the endpoint's parser.
     extra_prefixes: Optional[Mapping[str, str]] = None
-    #: Lean ingestion: skip SPARQL parsing, deduplication and AST
-    #: retention when *metrics* selects sequence passes exclusively
-    #: (they read the raw ordered stream).  ``False`` forces the full
-    #: pipeline, which restores Table 1's Valid and Unique counts.
-    lean: bool = True
-
-    def lean_ingestion(self) -> bool:
-        """Whether this request ingests leanly (see :attr:`lean`)."""
-        return self.lean and sequence_only_selection(self.metrics)
 
     def options(self) -> AnalysisOptions:
-        """The per-query analysis options this request implies."""
+        """The per-query analysis options this request implies.
+
+        A selection of sequence metrics only (``streaks``) ingests
+        leanly: no SPARQL parsing, deduplication or AST retention, as
+        the streak scan reads the raw ordered stream; Table 1's Valid
+        and Unique then read 0."""
         return AnalysisOptions(
             metrics=self.metrics,
             shape_node_limit=self.shape_node_limit,
@@ -163,7 +158,7 @@ class AnalysisRequest:
             profile=self.profile,
             streak_window=self.streak_window,
             streak_threshold=self.streak_threshold,
-            lean_ingestion=self.lean_ingestion(),
+            lean_ingestion=sequence_only_selection(self.metrics),
         )
 
     def validate(self) -> None:
@@ -355,9 +350,9 @@ class AnalysisSession:
         Sequence metrics (``streaks``) are computed here — the ordered
         raw stream no longer exists after deduplication — by the
         chunked driver, whose per-chunk accumulators stitch back to the
-        exact one-pass scan.  A sequence-only selection ingests leanly by
-        default (no parse/dedup/AST retention; see
-        :attr:`AnalysisRequest.lean`)."""
+        exact one-pass scan.  A sequence-only selection ingests leanly
+        (no parse/dedup/AST retention; see
+        :meth:`AnalysisRequest.options`)."""
         prefixes = dict(request.extra_prefixes) if request.extra_prefixes else None
         # One executor over all datasets: one parse cache in-process,
         # one worker start-up on a pool; lazy sources keep peak memory
@@ -394,12 +389,11 @@ class AnalysisSession:
     def _resolve_corpora(
         self, request: AnalysisRequest
     ) -> Mapping[str, Iterable[str]]:
+        """In-memory corpora as given; file inputs as lazy streams."""
         if request.corpora is not None:
             return request.corpora
         paths = [Path(path) for path in request.inputs]
-        if request.stream:
-            return {dataset_name(path): iter_entries(path) for path in paths}
-        return {dataset_name(path): read_entries(path) for path in paths}
+        return {dataset_name(path): iter_entries(path) for path in paths}
 
 
 def analyze(*inputs: PathLike, **kwargs: object) -> AnalysisResult:

@@ -39,10 +39,10 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .analysis.context import DEFAULT_SHAPE_NODE_LIMIT, DEFAULT_STRUCTURE_CACHE_SIZE
-from .analysis.passes import PASS_NAMES, SEQUENCE_PASS_NAMES
+from .analysis.passes import PASS_NAMES, SEQUENCE_PASS_NAMES, resolve_passes
 from .analysis.streaks import DEFAULT_STREAK_THRESHOLD, DEFAULT_STREAK_WINDOW
 from .api import (
     AnalysisRequest,
@@ -83,18 +83,6 @@ def _emit(output: str) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    metrics = None
-    if args.metrics is not None:
-        metrics = tuple(
-            name.strip() for name in args.metrics.split(",") if name.strip()
-        )
-        if not metrics:
-            print(
-                f"analyze: --metrics selects no passes; "
-                f"available: {', '.join(PASS_NAMES)}",
-                file=sys.stderr,
-            )
-            return 2
     try:
         get_reporter(args.format)
     except ValueError as error:
@@ -103,16 +91,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     request = AnalysisRequest(
         inputs=tuple(args.files),
         dedup=not args.keep_duplicates,
-        metrics=metrics,
+        metrics=args.metrics,
         shape_node_limit=args.shape_node_limit,
         cache_size=args.cache_size,
         profile=args.profile_passes,
-        stream=args.stream,
         workers=args.workers,
         chunk_size=args.chunk_size,
         streak_window=args.streak_window,
         streak_threshold=args.streak_threshold,
-        lean=args.lean,
     )
     try:
         with AnalysisSession() as session:
@@ -276,23 +262,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     """Incremental always-on analysis over growing logs."""
     from .analysis.incremental import WatchSession
 
-    metrics = None
-    if args.metrics is not None:
-        metrics = tuple(
-            name.strip() for name in args.metrics.split(",") if name.strip()
-        )
-        if not metrics:
-            print(
-                f"watch: --metrics selects no passes; "
-                f"available: {', '.join(PASS_NAMES)}",
-                file=sys.stderr,
-            )
-            return 2
     try:
         session = WatchSession(
             tuple(args.files),
             args.state,
-            metrics=metrics,
+            metrics=args.metrics,
             streak_window=args.streak_window,
             streak_threshold=args.streak_threshold,
             shape_node_limit=args.shape_node_limit,
@@ -504,6 +478,21 @@ def _workers_arg(value: str):
     return number
 
 
+def _metrics_arg(value: str) -> Tuple[str, ...]:
+    """``--metrics``: comma-separated known pass names, at least one."""
+    metrics = tuple(name.strip() for name in value.split(",") if name.strip())
+    if not metrics:
+        raise argparse.ArgumentTypeError(
+            f"selects no passes; available: "
+            f"{', '.join(PASS_NAMES + SEQUENCE_PASS_NAMES)}"
+        )
+    try:
+        resolve_passes(metrics)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return metrics
+
+
 def _nonnegative_int(value: str) -> int:
     number = int(value)
     if number < 0:
@@ -557,13 +546,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="analyze the Valid corpus instead of the Unique one (appendix mode)",
     )
     analyze.add_argument(
-        "--stream",
-        action="store_true",
-        help="stream entries lazily from disk with bounded in-flight chunks "
-        "(peak memory O(workers x chunk-size); output identical to the "
-        "in-memory pass)",
-    )
-    analyze.add_argument(
         "--workers",
         type=_workers_arg,
         default=1,
@@ -577,18 +559,20 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="entries per shard (default: adaptive — chunks start small "
-        "and grow toward ~8 per worker, capped at 1024 when streaming)",
+        help="entries per shard (default: adaptive — inputs stream from "
+        "disk in chunks that start small and grow to at most 1024)",
     )
     analyze.add_argument(
         "--metrics",
+        type=_metrics_arg,
         default=None,
         metavar="PASS[,PASS...]",
         help="comma-separated analyzer passes to run "
         f"(default: all of {', '.join(PASS_NAMES)}); tables owned by "
         "unselected passes render with zero counts; sequence passes "
         f"({', '.join(SEQUENCE_PASS_NAMES)}) are opt-in by name and scan "
-        "the ordered raw stream during ingestion",
+        "the ordered raw stream during ingestion — selected alone, they "
+        "skip parsing (Valid/Unique then read 0)",
     )
     analyze.add_argument(
         "--streak-window",
@@ -605,14 +589,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="X",
         help="normalized-Levenshtein similarity threshold for "
         f"`--metrics streaks` (default {DEFAULT_STREAK_THRESHOLD})",
-    )
-    analyze.add_argument(
-        "--full-ingestion",
-        dest="lean",
-        action="store_false",
-        help="run the full clean -> parse -> dedup pipeline even for "
-        "sequence-only --metrics selections, which otherwise skip it "
-        "(restores Valid/Unique counts; streak output is identical)",
     )
     analyze.add_argument(
         "--shape-node-limit",
@@ -721,6 +697,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--metrics",
+        type=_metrics_arg,
         default=None,
         metavar="PASS[,PASS...]",
         help="analyzer passes to run, fixed at the first checkpoint "

@@ -27,11 +27,14 @@ The :class:`QueryLog` produced here is the input to every analysis in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..exceptions import SparqlSyntaxError
 from ..rdf.namespaces import WELL_KNOWN_PREFIXES
 from ..sparql import ast, parse_query
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; logs never imports analysis
+    from ..analysis.streaks import StreakAccumulator
 
 __all__ = [
     "ParsedQuery",
@@ -127,11 +130,9 @@ class LogShard:
     order: List[str] = field(default_factory=list)
     counts: Dict[str, int] = field(default_factory=dict)
     parsed: Dict[str, ast.Query] = field(default_factory=dict)
-    #: Order-aware accumulators (e.g. streak detection) fed from this
-    #: slice of the *raw* entry stream, keyed by sequence-pass name.
-    #: Opaque at this layer: anything with a stream-order ``merge`` fits
-    #: (see :class:`repro.analysis.passes.SequencePass`).
-    sequences: Dict[str, Any] = field(default_factory=dict)
+    #: The streak scan (Table 6) of this slice of the *raw* entry
+    #: stream; ``None`` unless ``streaks`` is selected.
+    streaks: Optional["StreakAccumulator"] = None
 
     def merge(self, other: "LogShard") -> "LogShard":
         """Fold *other* (the next slice of the stream) into this shard."""
@@ -143,19 +144,16 @@ class LogShard:
                 self.order.append(text)
         for text, count in other.counts.items():
             self.counts[text] = self.counts.get(text, 0) + count
-        for name, accumulator in other.sequences.items():
-            mine = self.sequences.get(name)
-            if mine is None:
-                self.sequences[name] = accumulator
-            else:
-                mine.merge(accumulator)
+        if self.streaks is None:
+            self.streaks = other.streaks
+        elif other.streaks is not None:
+            self.streaks.merge(other.streaks)
         return self
 
     def to_query_log(self, name: str) -> "QueryLog":
         """Materialize the Table 1 view of this shard."""
         log = QueryLog(
-            name=name, total=self.total, valid=self.valid,
-            sequences=dict(self.sequences),
+            name=name, total=self.total, valid=self.valid, streaks=self.streaks
         )
         for text in self.order:
             log.parsed.append(
@@ -172,11 +170,11 @@ class QueryLog:
     total: int = 0
     valid: int = 0
     parsed: List[ParsedQuery] = field(default_factory=list)
-    #: Sequence-pass accumulators over this log's ordered raw stream
-    #: (``repro.analysis.study`` copies them onto the dataset stats,
-    #: like the Table 1 counters).  Empty unless ingestion ran with a
-    #: sequence metric selected.
-    sequences: Dict[str, Any] = field(default_factory=dict)
+    #: The streak scan over this log's ordered raw stream
+    #: (``repro.analysis.study`` copies it onto the dataset stats, like
+    #: the Table 1 counters).  ``None`` unless ingestion ran with
+    #: ``streaks`` selected.
+    streaks: Optional["StreakAccumulator"] = None
 
     @property
     def unique(self) -> int:

@@ -204,6 +204,9 @@ class Arithmetic(Expression):
     def __hash__(self):
         return hash(_chain_key(self, ("op", "right")))
 
+    def __repr__(self):
+        return _chain_repr(self, ("op", "right"))
+
     def __reduce__(self):
         return _reduce_chain(self, "op", "right")
 
@@ -329,6 +332,9 @@ class UnionPattern(Pattern):
     def __hash__(self):
         return hash(_chain_key(self, ("right",)))
 
+    def __repr__(self):
+        return _chain_repr(self, ("right",))
+
     def __reduce__(self):
         return _reduce_chain(self, "right")
 
@@ -390,6 +396,18 @@ def _chain_eq(node, other, fields: Tuple[str, ...]):
     if other.__class__ is not node.__class__:
         return NotImplemented
     return node is other or _chain_key(node, fields) == _chain_key(other, fields)
+
+
+def _chain_repr(node, fields: Tuple[str, ...]):
+    """The dataclass ``repr`` of a chain, spelled along the left spine in
+    a loop.  Fields print in declaration order: ``op`` (arithmetic only),
+    then ``left``, then ``right``."""
+    leftmost, links = _chain_key(node, fields)
+    kind, opens, closes = type(node).__qualname__, [], []
+    for *op, right in links:
+        opens.append(f"{kind}(" + "".join(f"op={o!r}, " for o in op) + "left=")
+        closes.append(f", right={right!r})")
+    return "".join(opens) + repr(leftmost) + "".join(reversed(closes))
 
 
 def _reduce_chain(node, *fields: str):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.analysis.snapshot import SCHEMA_VERSION, load_study
+from repro.api import analyze_corpora
 from repro.cli import main
 from repro.logs import encode_access_log_line, read_entries
 
@@ -114,20 +115,23 @@ class TestCommands:
         assert "cycle-W3 PG" in output
 
     def test_analyze_stream_output_identical(self, query_file, capsys):
+        """File inputs stream from disk; the report equals the one over
+        the same entries held in memory."""
+        in_memory = analyze_corpora(
+            {"queries": read_entries(query_file)}
+        ).render("text")
         assert main(["analyze", str(query_file)]) == 0
-        serial = capsys.readouterr().out
-        assert main(["analyze", "--stream", str(query_file)]) == 0
-        assert capsys.readouterr().out == serial
+        assert capsys.readouterr().out == in_memory + "\n"
         assert (
             main(
                 [
-                    "analyze", "--stream", "--workers", "2",
+                    "analyze", "--workers", "2",
                     "--chunk-size", "1", str(query_file),
                 ]
             )
             == 0
         )
-        assert capsys.readouterr().out == serial
+        assert capsys.readouterr().out == in_memory + "\n"
 
     def test_analyze_directory_input(self, tmp_path, capsys):
         log_dir = tmp_path / "logs"
@@ -137,10 +141,10 @@ class TestCommands:
         )
         (log_dir / "b.rq").write_text("SELECT * WHERE { ?a ?b ?c }\n")
         assert main(["analyze", str(log_dir)]) == 0
-        serial = capsys.readouterr().out
-        assert "logs" in serial
-        assert main(["analyze", "--stream", str(log_dir)]) == 0
-        assert capsys.readouterr().out == serial
+        streamed = capsys.readouterr().out
+        assert "logs" in streamed
+        in_memory = analyze_corpora({"logs": read_entries(log_dir)})
+        assert streamed == in_memory.render("text") + "\n"
 
     def test_streaks_synthetic(self, capsys):
         exit_code = main(["streaks", "--synthetic", "60"])
@@ -599,7 +603,7 @@ class TestDamagedGzip:
         "argv",
         [
             ["analyze"],
-            ["analyze", "--stream"],
+            ["analyze", "--chunk-size", "1"],
             ["analyze", "--workers", "2"],
             ["streaks"],
         ],

@@ -88,8 +88,8 @@ def test_chains_pickle_flat(name):
     assert pickle.dumps(pickle.loads(data)) == data
 
 
-#: 1,500-link chains: far past where a recursive ``hash``, ``==`` or
-#: serializer fails (about 600 links on Python 3.11).
+#: 1,500-link chains: far past where a recursive ``hash``, ``==``,
+#: ``repr`` or serializer fails (about 600 links on Python 3.11).
 LONG = {
     "union": "SELECT * WHERE { "
     + " UNION ".join(f"{{ ?s <urn:p{i % 9}> ?o }}" for i in range(1501))
@@ -107,6 +107,7 @@ def test_long_chains_hash_compare_and_round_trip(name):
     again = parse_query(LONG[name])
     assert query is not again
     assert query == again and hash(query) == hash(again)
+    assert repr(query) == repr(again) and repr(query).startswith("Query(")
     assert parse_query(serialize_query(query)) == query
     other = parse_query(LONG[name].replace("?a", "?z", 1) if name != "union"
                         else LONG[name].replace("<urn:p0>", "<urn:q>", 1))

@@ -262,14 +262,18 @@ class TestCliFlags:
 
     def test_unknown_metric_is_an_error(self, tmp_path, capsys):
         path = self.write_log(tmp_path, QUERIES)
-        assert main(["analyze", "--metrics", "shallow,bogus", str(path)]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--metrics", "shallow,bogus", str(path)])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "unknown metrics" in err and "bogus" in err
 
     def test_empty_metrics_selection_is_an_error(self, tmp_path, capsys):
         path = self.write_log(tmp_path, QUERIES)
         for spelling in (",", " ", ", ,"):
-            assert main(["analyze", "--metrics", spelling, str(path)]) == 2
+            with pytest.raises(SystemExit) as excinfo:
+                main(["analyze", "--metrics", spelling, str(path)])
+            assert excinfo.value.code == 2
             assert "selects no passes" in capsys.readouterr().err
 
     def test_profile_passes_flag(self, tmp_path, capsys):

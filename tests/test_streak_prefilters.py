@@ -324,20 +324,29 @@ def test_prepared_similar_matches_stripped_similar_on_log_pairs():
 
 
 def test_lean_mode_streak_state_is_byte_identical():
-    """Lean and full ingestion agree on everything but Valid/Unique."""
+    """Lean and full ingestion agree on everything but Valid/Unique.
+
+    ``--metrics streaks`` always ingests leanly; the full pipeline is
+    the oracle, reached through the driver's ``lean_ingestion`` field."""
+    from repro.analysis.context import AnalysisOptions
+    from repro.analysis.parallel import build_query_logs_parallel
+    from repro.analysis.study import study_corpus
+
     log = generate_day_log(150, session_rate=0.4, seed=11)
-    lean = analyze_corpora({"day": log}, metrics=("streaks",), lean=True)
-    full = analyze_corpora({"day": log}, metrics=("streaks",), lean=False)
-    assert (
-        lean.study.datasets["day"].streaks == full.study.datasets["day"].streaks
+    lean = analyze_corpora({"day": log}, metrics=("streaks",)).study
+    options = AnalysisOptions(metrics=("streaks",), lean_ingestion=False)
+    full = study_corpus(
+        build_query_logs_parallel({"day": log}, chunk_size=16, options=options),
+        options=options,
     )
+    assert lean.datasets["day"].streaks == full.datasets["day"].streaks
     assert (
-        lean.study.datasets["day"].streaks.to_dict()
-        == full.study.datasets["day"].streaks.to_dict()
+        lean.datasets["day"].streaks.to_dict()
+        == full.datasets["day"].streaks.to_dict()
     )
-    assert lean.study.datasets["day"].total == len(log)
-    assert lean.study.datasets["day"].valid == 0  # parse never ran
-    assert full.study.datasets["day"].valid > 0
+    assert lean.datasets["day"].total == len(log)
+    assert lean.datasets["day"].valid == 0  # parse never ran
+    assert full.datasets["day"].valid > 0
 
 
 def test_parallel_ingestion_counters_match_serial_exactly():
@@ -360,7 +369,7 @@ def test_parallel_ingestion_counters_match_serial_exactly():
         logs = build_query_logs_parallel(
             {"day": log}, workers=workers, chunk_size=16, options=options
         )
-        assert logs["day"].sequences is not None
+        assert logs["day"].streaks is not None
         totals[workers] = SIMILARITY_COUNTERS.to_dict()
     assert totals[1] == totals[2]
     assert totals[1]["comparisons"] > 0

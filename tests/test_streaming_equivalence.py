@@ -208,17 +208,18 @@ def _wrong_executor(n):
 
 class TestCliStreamGzip:
     def test_gzip_stream_workers4_byte_identical(self, tmp_path, capsys):
-        """The acceptance criterion: `repro analyze --stream --workers 4`
-        over a gzip log is byte-identical to the serial in-memory run."""
+        """The acceptance criterion: `repro analyze --workers 4` streams
+        a gzip log and is byte-identical to the serial in-memory run."""
         path = tmp_path / "synthetic.log.gz"
         write_synthetic_log(path, n_entries=400, n_unique=23, seed=1)
+        serial = build_query_log("synthetic", list(iter_entries(path)))
+        serial_out = render_report(study_corpus({"synthetic": serial})) + "\n"
         assert main(["analyze", str(path)]) == 0
-        serial_out = capsys.readouterr().out
+        assert capsys.readouterr().out == serial_out
         assert (
             main(
                 [
                     "analyze",
-                    "--stream",
                     "--workers",
                     "4",
                     "--chunk-size",
@@ -243,5 +244,5 @@ class TestCliStreamGzip:
             {"endpoint-logs": iter_entries(log_dir)}, workers=2, chunk_size=13
         )["endpoint-logs"]
         assert_logs_identical(streamed, serial)
-        assert main(["analyze", "--stream", str(log_dir)]) == 0
+        assert main(["analyze", str(log_dir)]) == 0
         assert "endpoint-logs" in capsys.readouterr().out

@@ -1192,11 +1192,14 @@ class TestWatchCli:
         assert "cannot mix" in capsys.readouterr().err
 
     def test_watch_rejects_empty_metrics(self, tmp_path, capsys):
-        assert main(
-            ["watch", str(tmp_path / "x.rq"), "--state",
-             str(tmp_path / "s"), "--metrics", " , "]
-        ) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["watch", str(tmp_path / "x.rq"), "--state",
+                 str(tmp_path / "s"), "--metrics", " , "]
+            )
+        assert excinfo.value.code == 2
         assert "selects no passes" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("threshold", ["7", "nan"])
     def test_watch_rejects_out_of_range_threshold(
