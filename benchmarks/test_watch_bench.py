@@ -25,8 +25,13 @@ what the session itself did after the first cycle: ``parse_query``
 calls, the distinct texts of each slice the dataset had not counted
 (a steady cycle parses exactly those), ``StreakAccumulator.merge``
 calls (new entries extend the live streak scan, so: none) and the
-streak similarity comparisons.  CI asserts these; they are counts and
-identities, so they hold on any runner.
+streak similarity comparisons.  After its timed cycles the leg runs
+one idle cycle, and it records what each cycle wrote: how often the
+combined study was encoded and flattened to long rows (once per
+changed cycle, not at all on an idle one), and how many ``cells`` rows
+the warehouse inserted, replaced or deleted (exactly the cells the
+cycle diffs report as added, changed or removed).  CI asserts these;
+they are counts and identities, so they hold on any runner.
 """
 
 from __future__ import annotations
@@ -34,14 +39,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
 from _bench_utils import banner
 import repro.logs.pipeline as pipeline
+from repro.analysis import snapshot
 from repro.analysis.passes import PASS_NAMES, SEQUENCE_PASS_NAMES
 from repro.analysis.streaks import SIMILARITY_COUNTERS, StreakAccumulator
 from repro.api import WatchSession, analyze_corpora, load_study
+from repro.reporting import reporters
 from repro.warehouse import StudyWarehouse, store
 from repro.workload import generate_day_log
 
@@ -70,6 +78,21 @@ def _record(payload: dict) -> None:
         merged.update(payload)
         payload = merged
     out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def _record_arguments(monkeypatch, function):
+    """Route every ``repro`` module's binding of *function* through a
+    wrapper; returns the list of the arguments it is called with."""
+    calls = []
+
+    def recorded(argument):
+        calls.append(argument)
+        return function(argument)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, recorded)
+    return calls
 
 
 def test_watch_artifact(tmp_path):
@@ -173,6 +196,16 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
         return merge(self, other)
 
     monkeypatch.setattr(StreakAccumulator, "merge", counted_merge)
+    encoded = _record_arguments(monkeypatch, snapshot.study_to_dict)
+    flattened = _record_arguments(monkeypatch, reporters.study_long_rows)
+    cell_writes = []
+
+    def count_cell_write(statement):
+        if statement.startswith(
+            ("INSERT OR REPLACE INTO cells", "DELETE FROM cells WHERE")
+        ):
+            cell_writes.append(statement)
+
     _append(log, texts[:base])
     cycle_seconds = []
     with WatchSession(
@@ -180,11 +213,15 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
         metrics=PASS_NAMES + SEQUENCE_PASS_NAMES, warehouse_path=warehouse,
     ) as session:
         session.cycle()
+        session._warehouse._connection.set_trace_callback(count_cell_write)
         decodes.clear()
         writes.clear()
         parses.clear()
         merges.clear()
+        flattened.clear()
         unseen_texts = 0
+        outcomes = []
+        combined_encodes = 0
         before = SIMILARITY_COUNTERS.to_dict()
         for index in range(CYCLES):
             start_entry = base + index * SLICE
@@ -195,10 +232,23 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
                 if hashlib.sha256(text.encode("utf-8")).hexdigest() not in counted
             })
             _append(log, batch)
+            encoded.clear()
             start = time.perf_counter()
             outcome = session.cycle(drain=index == CYCLES - 1)
             cycle_seconds.append(time.perf_counter() - start)
             assert outcome.total_new == SLICE
+            outcomes.append(outcome)
+            combined_encodes += sum(study is session.study for study in encoded)
+        encoded.clear()
+        outcomes.append(session.cycle())  # idle: nothing new
+        combined_encodes += sum(study is session.study for study in encoded)
+        changed_cycles = sum(outcome.changed for outcome in outcomes)
+        # Cell lines of the diffs: "  + added", "    changed: a -> b", "  - removed".
+        diff_cells = sum(
+            line.startswith("  ")
+            for outcome in outcomes
+            for line in outcome.diff.splitlines()
+        )
         session_comparisons = SIMILARITY_COUNTERS.delta_since(before)["comparisons"]
         stored_study_decodes = len(decodes)
         warehouse_comparisons = sum(write["comparisons"] for write in writes)
@@ -223,6 +273,11 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
                 "session_unseen_texts": unseen_texts,
                 "session_streak_merges": len(merges),
                 "session_comparisons": session_comparisons,
+                "changed_cycles": changed_cycles,
+                "combined_encodes": combined_encodes,
+                "long_rows_calls": len(flattened),
+                "cells_written": len(cell_writes),
+                "diff_cells": diff_cells,
             }
         }
     )
@@ -240,6 +295,11 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
         f"{unseen_texts} uncounted texts; {len(merges)} streak stitches; "
         f"{session_comparisons} similarity comparisons"
     )
+    print(
+        f"  {changed_cycles} changed cycles and 1 idle: {combined_encodes} "
+        f"combined-study encodes, {len(flattened)} long-row flattenings, "
+        f"{len(cell_writes)} cells written for {diff_cells} changed cells"
+    )
 
     assert stored_study_decodes == 0, "the held handle decoded its study again"
     assert len(writes) == CYCLES, "the session wrote its part once per cycle"
@@ -248,3 +308,7 @@ def test_watch_held_session_artifact(tmp_path, monkeypatch):
     assert identical, "held-handle render must equal a fresh read-only render"
     assert len(parses) == unseen_texts, "a steady cycle parsed a counted text"
     assert not merges, "a steady cycle stitched a streak accumulator"
+    assert changed_cycles == CYCLES, "every timed cycle grew the study"
+    assert combined_encodes == changed_cycles, "the combined study was encoded again"
+    assert len(flattened) == changed_cycles, "the combined study was flattened again"
+    assert len(cell_writes) == diff_cells, "the warehouse rewrote unchanged cells"

@@ -131,7 +131,7 @@ def __dir__() -> List[str]:
     return sorted(set(globals()) | set(__all__))
 
 
-__version__ = "10.0.0"
+__version__ = "10.1.0"
 
 __all__ = [
     "AnalysisRequest",

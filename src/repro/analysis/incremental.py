@@ -50,20 +50,21 @@ holds was Valid under the prefix environment the checkpoint's config
 fixes, so it counts toward Total and Valid without being parsed: a
 cycle parses only the texts its datasets have not counted (invalid
 texts are parsed again each time they recur).  The session stitches
-the combined study, and flattens it to the long rows the cycle diff
-compares, once per change of its per-dataset studies: idle cycles
-stitch nothing, and each
-cycle's diff takes the previous cycle's rows as its "before" side.
+the combined study, flattens it to long rows and encodes it, once per
+change of its per-dataset studies: idle cycles do none of it.  Each
+cycle's diff takes the previous cycle's rows as its "before" side;
+``study.json`` is the encoding plus a newline.
 The checkpoint is assembled from per-dataset fragments: each
 dataset's encoded seen-digest list and study are memoized until a
 cycle changes that dataset's study (a loaded checkpoint starts with
 none), so a cycle re-encodes only the datasets it grew, and the
 assembled document is byte for byte the compact encoding of the whole.
 With a warehouse, the session stores that combined study as the
-warehouse part it owns, so the warehouse renders exactly the
-checkpoint.  It writes until one write of the current study succeeds:
-a kill or :class:`~repro.exceptions.WarehouseError` after the
-checkpoint heals on the next cycle, idle or not.  The one writable
+warehouse part it owns, handing over its encoding and long rows, so
+the warehouse renders exactly the checkpoint and neither encodes nor
+flattens it again.  It writes until one write of the current study
+succeeds: a kill or :class:`~repro.exceptions.WarehouseError` after
+the checkpoint heals on the next cycle, idle or not.  The one writable
 handle, opened at the first write and held until
 :meth:`WatchSession.close`, keeps the parts it wrote, so steady cycles
 never decode them; a ``WarehouseError`` drops it.
@@ -117,7 +118,7 @@ from ..logs.sources import (
 from .context import AnalysisOptions, StructureCache
 from .parallel import measure_chunk
 from .passes import resolve_passes, sequence_only_selection, streaks_selected
-from .snapshot import save_study, study_from_dict, study_to_dict
+from .snapshot import encode_study, study_from_dict, study_to_dict
 from .streaks import StreakAccumulator
 from .study import CorpusStudy
 
@@ -145,6 +146,9 @@ STUDY_NAME = "study.json"
 
 _READ_CHUNK = 1 << 20
 
+#: One cell of a study's long rows: (section, row, column, value).
+_LongRow = Tuple[str, str, str, str]
+
 
 def _text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -157,9 +161,10 @@ def _compact(value: Any) -> str:
 
 def _stitch(
     studies: Mapping[str, CorpusStudy], names: Sequence[str]
-) -> Tuple[CorpusStudy, List[Tuple[str, str, str, str]]]:
-    """The combined study of *studies*, merged in *names* order, and
-    its long rows (the cells the cycle diff compares)."""
+) -> Tuple[CorpusStudy, List[_LongRow], str]:
+    """The combined study of *studies*, merged in *names* order, its
+    long rows (the cells the cycle diff compares) and its compact
+    snapshot encoding (``study.json`` and the warehouse part)."""
     # Reporting imports lazily: analysis must stay importable without
     # the reporting layer (and vice versa).
     from ..reporting.reporters import study_long_rows
@@ -167,7 +172,7 @@ def _stitch(
     combined = CorpusStudy(dedup=True)
     for name in names:
         combined.merge(studies[name])
-    return combined, study_long_rows(combined)
+    return combined, study_long_rows(combined), encode_study(combined)
 
 
 def _consumable_length(data: bytes, format: str, drain: bool) -> int:
@@ -403,11 +408,9 @@ class WatchSession:
         #: One structural LRU for the whole session, so a shape measured
         #: in an earlier cycle hits in a later one (invariant 4).
         self._structures = StructureCache(self.options.cache_size)
-        #: (combined study, its long rows) of the current ``_studies``;
-        #: ``None`` once they change.
-        self._stitched: Optional[
-            Tuple[CorpusStudy, List[Tuple[str, str, str, str]]]
-        ] = None
+        #: (combined study, its long rows, its encoding) of the current
+        #: ``_studies``; ``None`` once they change.
+        self._stitched: Optional[Tuple[CorpusStudy, List[_LongRow], str]] = None
         #: Dataset name -> its encoded (sorted seen digests, study), as
         #: the checkpoint spells them; an entry is dropped when a cycle
         #: changes that dataset's study.
@@ -432,7 +435,7 @@ class WatchSession:
             return None
         return self._combined()[0]
 
-    def _combined(self) -> Tuple[CorpusStudy, List[Tuple[str, str, str, str]]]:
+    def _combined(self) -> Tuple[CorpusStudy, List[_LongRow], str]:
         if self._stitched is None:
             self._stitched = _stitch(
                 self._studies, [name for name, _ in self._datasets]
@@ -578,10 +581,11 @@ class WatchSession:
             self.checkpoint_path,
             f'{head[:-1]},"seen":{{{seen}}},"studies":{{{studies}}}}}\n',
         )
-        # Derived convenience snapshot (repro report / merge load it);
-        # resume never reads it, so a kill between the two writes
-        # merely leaves it one cycle stale until the next rewrite.
-        save_study(self.study, self.study_path)
+        # Derived convenience snapshot (repro report / merge load it),
+        # the bytes save_study writes; resume never reads it, so a kill
+        # between the two writes merely leaves it one cycle stale until
+        # the next rewrite.
+        atomic_write_text(self.study_path, self._combined()[2] + "\n")
 
     # -- the cycle ----------------------------------------------------
 
@@ -639,7 +643,7 @@ class WatchSession:
         study stored before a kill a no-op)."""
         from ..warehouse import StudyWarehouse
 
-        study = self._combined()[0]
+        study, rows, body = self._combined()
         if study is self._stored:
             return
         try:
@@ -649,6 +653,8 @@ class WatchSession:
                 f"watch:{self.state_dir.resolve()}",
                 study,
                 source=f"watch:{self.state_dir}@{self.generation}",
+                body=body,
+                rows=rows,
             )
         except WarehouseError:
             # The next cycle reopens the file and writes again.

@@ -52,6 +52,7 @@ __all__ = [
     "COMPATIBLE_SCHEMA_VERSIONS",
     "SCHEMA_VERSION",
     "STUDY_KIND",
+    "encode_study",
     "load_study",
     "profile_from_dict",
     "profile_to_dict",
@@ -582,6 +583,12 @@ def study_from_dict(data: Any) -> CorpusStudy:
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
+def encode_study(study: CorpusStudy) -> str:
+    """*study* as compact snapshot JSON: :func:`save_study`'s file
+    without its final newline."""
+    return json.dumps(study_to_dict(study), separators=(",", ":"))
+
+
 def save_study(study: CorpusStudy, path: Union[str, Path]) -> None:
     """Write *study* to *path* as a compact JSON snapshot.
 
@@ -598,9 +605,7 @@ def save_study(study: CorpusStudy, path: Union[str, Path]) -> None:
     snapshot intact rather than a truncated file that
     :func:`load_study` would reject.
     """
-    payload = (
-        json.dumps(study_to_dict(study), separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    payload = (encode_study(study) + "\n").encode("utf-8")
     if Path(path).suffix == ".gz":
         payload = gzip.compress(payload, mtime=0)
     atomic_write_bytes(path, payload)

@@ -6,8 +6,9 @@ schema-versioned via ``PRAGMA user_version``):
 * ``meta`` — key/value header: the warehouse kind tag, the corpus
   flavour, the ingest generation counter, the FTS mode.
 * ``ingests`` — the append ledger: one row per distinct study
-  digest ever written.  Writing a byte-equivalent study again hits
-  the digest and is a no-op, which is what makes writes idempotent.
+  digest ever written.  Merging a byte-equivalent study again hits
+  the digest and is a no-op, which is what makes writes idempotent;
+  so is replacing a part with the study it holds.
 * ``parts`` — the source of truth: study snapshot documents (the
   codec ``save_study`` writes, as compact JSON; older indented bodies
   load the same), one per owner.  Snapshot ingests merge into the
@@ -19,15 +20,19 @@ schema-versioned via ``PRAGMA user_version``):
   they wrote as that cache, so a long-lived writer never decodes
   them again unless another handle wrote in between.
 * ``datasets`` / ``cells`` / ``streaks`` / ``caveats`` — indexed
-  derived tables, rebuilt transactionally at each write: per-dataset
-  pipeline counters, every measurement cell of the paper's tables in
-  the long format of :func:`repro.reporting.reporters.study_long_rows`,
-  streak-length histograms, and coverage-caveat counters.  Queries
+  derived tables, brought to the fold's rows inside each write's
+  transaction: per-dataset pipeline counters, every measurement cell
+  of the paper's tables in the long format of
+  :func:`repro.reporting.reporters.study_long_rows`, streak-length
+  histograms, and coverage-caveat counters.  A write changes only the
+  rows that differ from the previous generation's, which the handle
+  keeps from its own last write (or reads back when another handle
+  wrote since); :mod:`repro.warehouse.derived` has the rules.  Queries
   over these never touch the study document, let alone re-run any
   analysis.
 * ``query_texts`` (+ ``query_fts``, FTS5) — the query texts a study
   carries (non-Ctract property-path samples, streak head/tail texts),
-  full-text indexed for ``/search``.
+  full-text indexed for ``/search``; rebuilt whole at each write.
 
 The warehouse is *data*, not a cache: every failure (corrupt file,
 foreign or future schema, incompatible ingest) raises a typed
@@ -43,13 +48,16 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..analysis.snapshot import study_from_dict, study_to_dict
+from ..analysis.snapshot import encode_study, study_from_dict
 from ..analysis.study import CorpusStudy
 from ..exceptions import StudySnapshotError, WarehouseError
 from ..reporting.reporters import render_report, study_long_rows
 from ..reporting.tables import REPORT_SECTIONS, render_text
+
+if TYPE_CHECKING:
+    from .derived import DerivedRows
 
 __all__ = [
     "TABLE_SECTIONS",
@@ -167,27 +175,6 @@ def snapshot_digest(data: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _texts_of(study: CorpusStudy) -> List[Tuple[str, str, str]]:
-    """The query texts a study carries, as (dataset, kind, text) rows.
-
-    Snapshots do not retain the raw corpus (by design — studies are
-    aggregates), but two measurements keep verbatim query text: the
-    Table 5 non-Ctract sample and the streak accumulator's head/tail
-    texts.  Those are what ``/search`` indexes.
-    """
-    rows: List[Tuple[str, str, str]] = []
-    for text in study.non_ctract:
-        rows.append(("", "non_ctract", text))
-    for name, stats in study.datasets.items():
-        if stats.streaks is None:
-            continue
-        for text in stats.streaks.head:
-            rows.append((name, "streak_head", text))
-        for chain in stats.streaks.chains:
-            rows.append((name, "streak_tail", chain.tail))
-    return rows
-
-
 #: The ``datasets`` columns a dataset row is served from, and the keys
 #: it is served under (same order).
 _DATASET_COLUMNS = (
@@ -198,6 +185,10 @@ _DATASET_KEYS = (
     "name", "total", "valid", "unique", "analyzed",
     "select_ask", "triple_sum", "streak_count", "longest_streak",
 )
+
+
+#: One cell of the long format: (section, row, column, value).
+_LongRow = Tuple[str, str, str, str]
 
 
 def _decode_study(path: str, body: str) -> CorpusStudy:
@@ -235,6 +226,10 @@ class StudyWarehouse:
         self.readonly = readonly
         #: (generation, decoded parts by owner in fold order, their fold).
         self._cache: Optional[Tuple[int, Dict[str, CorpusStudy], Optional[CorpusStudy]]] = None
+        #: (generation, the derived rows this handle wrote for it).
+        self._derived: Optional[Tuple[int, DerivedRows]] = None
+        #: (study, its long rows) a caller handed to the running write.
+        self._flat: Optional[Tuple[CorpusStudy, Sequence[_LongRow]]] = None
 
     # -- lifecycle ------------------------------------------------------
 
@@ -327,6 +322,24 @@ class StudyWarehouse:
                 for statement in statements:
                     connection.execute(statement)
                 connection.execute(f"PRAGMA user_version = {target}")
+        if version == 1 and connection.execute(
+            "SELECT MIN(substr(source, 1, 6) = 'watch:') FROM ingests"
+        ).fetchone()[0]:
+            # Only watch sessions fed this file, each merging its cycle
+            # deltas into the study the 1 -> 2 step made the snapshot
+            # part.  A session now stores its whole study as its own
+            # part, so that one would count everything twice: its next
+            # write brings the study back.
+            with connection:
+                connection.execute("DELETE FROM parts WHERE owner = ''")
+                for table in ("datasets", "cells", "streaks", "caveats", "query_texts"):
+                    connection.execute(f"DELETE FROM {table}")
+                if connection.execute(
+                    "SELECT value FROM meta WHERE key = 'fts'"
+                ).fetchone() == ("fts5",):
+                    connection.execute(
+                        "INSERT INTO query_fts(query_fts) VALUES ('rebuild')"
+                    )
         if version == 0:
             with connection:
                 fts = "fts5"
@@ -387,37 +400,63 @@ class StudyWarehouse:
         :class:`~repro.exceptions.WarehouseError` before anything is
         written.
         """
-        return self._write("", study, source, merge=True)
+        return self._write("", study, source, True, encode_study(study), None)
 
-    def replace_part(self, owner: str, study: CorpusStudy, *, source: str) -> str:
+    def replace_part(
+        self,
+        owner: str,
+        study: CorpusStudy,
+        *,
+        source: str,
+        body: str,
+        rows: Sequence[_LongRow],
+    ) -> str:
         """Store *study* as the part of *owner* (a ``repro watch``
         session), keeping the part's place in the fold; returns
-        ``"replaced"`` or ``"unchanged"`` (the study is in the ledger).
+        ``"replaced"`` or ``"unchanged"`` (the owner's part already
+        holds this study).
 
-        Commits like :meth:`ingest`.  The handle keeps *study* itself
-        as the decoded part: the caller must not change it afterwards.
+        *body* is *study*'s :func:`~repro.analysis.snapshot.encode_study`
+        text and *rows* its :func:`~repro.reporting.reporters.study_long_rows`,
+        which the caller has at hand: the write stores and digests the
+        body, and a lone part's rows are the ``cells``.  Commits like
+        :meth:`ingest`.  The handle keeps *study* itself as the decoded
+        part: the caller must not change it afterwards.
         """
-        return self._write(owner, study, source, merge=False)
+        return self._write(owner, study, source, False, body, rows)
 
-    def _write(self, owner: str, study: CorpusStudy, source: str, merge: bool) -> str:
+    def _write(
+        self,
+        owner: str,
+        study: CorpusStudy,
+        source: str,
+        merge: bool,
+        body: str,
+        rows: Optional[Sequence[_LongRow]],
+    ) -> str:
         if self.readonly:
             raise WarehouseError(f"{self.path}: warehouse opened read-only")
-        incoming = study_to_dict(study)
-        body = json.dumps(incoming, separators=(",", ":"))
-        # Unprofiled, the part body is the text snapshot_digest hashes.
+        # Unprofiled, the body is the text snapshot_digest hashes.
         digest = (
             hashlib.sha256(body.encode("utf-8")).hexdigest()
-            if incoming.get("pass_profile") is None
-            else snapshot_digest(incoming)
+            if study.pass_profile is None
+            else snapshot_digest(json.loads(body))
         )
         try:
             known = self._connection.execute(
                 "SELECT 1 FROM ingests WHERE digest = ?", (digest,)
-            ).fetchone()
+            ).fetchone() is not None
+            # A known study is merged already; a replaced part may be
+            # missing or hold another study (a migrated warehouse).
+            if known and (
+                merge
+                or self._connection.execute(
+                    "SELECT body = ? FROM parts WHERE owner = ?", (body, owner)
+                ).fetchone() == (1,)
+            ):
+                return "unchanged"
         except sqlite3.Error as error:
             raise self._guard(error) from error
-        if known is not None:
-            return "unchanged"
         parts = dict(self._parts())
         # The merge below mutates the cached snapshot part in place, so
         # the cache is dropped until the commit: a failed merge or write
@@ -427,15 +466,16 @@ class StudyWarehouse:
             part = study
             if merge:
                 part = parts.get(owner, CorpusStudy(dedup=study.dedup)).merge(study)
-                body = json.dumps(study_to_dict(part), separators=(",", ":"))
+                body = encode_study(part)
             parts[owner] = part
             folded = _fold(parts)
         except ValueError as error:
             raise WarehouseError(f"cannot ingest {source}: {error}") from error
+        self._flat = None if rows is None else (study, rows)
         try:
             with self._connection:
                 self._connection.execute(
-                    "INSERT INTO ingests (digest, source, datasets, queries)"
+                    "INSERT OR IGNORE INTO ingests (digest, source, datasets, queries)"
                     " VALUES (?, ?, ?, ?)",
                     (
                         digest,
@@ -449,73 +489,47 @@ class StudyWarehouse:
                     " ON CONFLICT (owner) DO UPDATE SET body = excluded.body",
                     (owner, body),
                 )
-                self._rebuild_derived(folded)
+                derived = self._rebuild_derived(folded)
                 generation = self.generation + 1
                 self._connection.execute(
                     "UPDATE meta SET value = ? WHERE key = 'generation'",
                     (str(generation),),
                 )
         except sqlite3.Error as error:
+            self._derived = None
             raise self._guard(error) from error
-        # The parts are what the stored bodies decode to: they become
-        # the cache of the new generation.
+        finally:
+            self._flat = None
+        # The parts are what the stored bodies decode to, and the
+        # derived rows what the tables hold: they become the cache of
+        # the new generation.
         self._cache = (generation, parts, folded)
+        self._derived = (generation, derived)
         return "merged" if merge else "replaced"
 
-    def _rebuild_derived(self, study: CorpusStudy) -> None:
-        """Rebuild the indexed derived tables from *study* (caller holds
-        the transaction)."""
-        connection = self._connection
-        for table in ("datasets", "cells", "streaks", "caveats", "query_texts"):
-            connection.execute(f"DELETE FROM {table}")
-        connection.executemany(
-            "INSERT INTO datasets (name, total, valid, unique_queries,"
-            " analyzed, select_ask, triple_sum, streak_count, longest_streak)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            [
-                (
-                    name,
-                    stats.total,
-                    stats.valid,
-                    stats.unique,
-                    stats.queries,
-                    stats.select_ask,
-                    stats.triple_sum,
-                    None if stats.streaks is None else stats.streaks.streak_count,
-                    None if stats.streaks is None else stats.streaks.longest,
-                )
-                for name, stats in study.datasets.items()
-            ],
-        )
-        connection.executemany(
-            "INSERT OR REPLACE INTO cells (section, row, col, value)"
-            " VALUES (?, ?, ?, ?)",
-            study_long_rows(study),
-        )
-        connection.executemany(
-            "INSERT INTO streaks (dataset, bucket, count) VALUES (?, ?, ?)",
-            [
-                (name, bucket, count)
-                for name, histogram in study.streak_histograms().items()
-                for bucket, count in histogram.items()
-            ],
-        )
-        connection.executemany(
-            "INSERT INTO caveats (name, dropped) VALUES (?, ?)",
-            [
-                ("shape_limit_skipped", study.shape_limit_skipped),
-                ("non_ctract_truncated", study.non_ctract_truncated),
-            ],
-        )
-        connection.executemany(
-            "INSERT OR IGNORE INTO query_texts (dataset, kind, text)"
-            " VALUES (?, ?, ?)",
-            _texts_of(study),
-        )
-        if self._meta("fts") == "fts5":
-            connection.execute(
-                "INSERT INTO query_fts(query_fts) VALUES ('rebuild')"
-            )
+    def _rebuild_derived(self, study: CorpusStudy) -> DerivedRows:
+        """Bring the derived tables to *study*, the new fold (caller
+        holds the transaction); returns its derived rows.
+
+        Only rows that differ from the current generation's are
+        written (:mod:`repro.warehouse.derived`): the rows this handle
+        wrote for it or, when another handle wrote since, the rows the
+        tables hold.
+        """
+        # Only writes need the derived-row model: read-only handles
+        # (``repro serve``) never import it.
+        from .derived import derived_rows, read_rows, write_rows
+
+        kept = self._derived
+        if kept is not None and kept[0] == self.generation:
+            old = kept[1]
+        else:
+            old = read_rows(self._connection)
+        flat = self._flat
+        rows = flat[1] if flat is not None and flat[0] is study else study_long_rows(study)
+        new = derived_rows(study, rows)
+        write_rows(self._connection, old, new, study, self._meta("fts") == "fts5")
+        return new
 
     # -- the served study -----------------------------------------------
 

@@ -404,6 +404,53 @@ class TestSchema1Files:
         assert "warehouse schema 1" in err
 
 
+class TestSchema1WatchFiles:
+    """A schema-1 file only watch sessions fed held their merged cycle
+    deltas as its one study; the migration leaves that study to the
+    session, whose next cycle stores it as its own part, once."""
+
+    @pytest.mark.parametrize("next_cycle", ["grow", "idle"])
+    def test_migrated_file_serves_the_checkpoint(self, tmp_path, capsys, next_cycle):
+        from repro.api import WatchSession, load_study
+
+        log, state, path = tmp_path / "day.log", tmp_path / "state", tmp_path / "w.db"
+        log.write_text("\n".join(QUERY_POOL[:5]) + "\n", encoding="utf-8")
+        WatchSession([str(log)], state, metrics=ALL_METRICS).cycle()
+        # Before parts, the session merged each cycle's delta into the
+        # one study; its first delta is its whole study, so the ledger
+        # holds the digest the session's next write of it computes.
+        with StudyWarehouse.open(path) as handle:
+            handle.ingest(load_study(state / "study.json"))
+        rewrite_as_schema_1(path)
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute(
+                "UPDATE ingests SET source = ?", (f"watch:{state}@1",)
+            )
+        connection.close()
+        if next_cycle == "grow":
+            with log.open("a", encoding="utf-8") as handle:
+                handle.write("\n".join(QUERY_POOL[5:]) + "\n")
+        with WatchSession(
+            [str(log)], state, metrics=ALL_METRICS, warehouse_path=path
+        ) as session:
+            assert session.cycle().changed == (next_cycle == "grow")
+        checkpoint = load_study(state / "study.json")
+        fresh = tmp_path / "fresh.db"
+        with StudyWarehouse.open(fresh) as handle:
+            handle.ingest(checkpoint)
+        tables = []
+        for warehouse in (path, fresh):
+            assert main(["warehouse", "query", str(warehouse), "--table", "1"]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
+        with StudyWarehouse.open(path, readonly=True) as handle:
+            assert handle.dataset("day")["total"] == checkpoint.datasets["day"].total
+            assert {fmt: handle.render(fmt) for fmt in FORMATS} == {
+                fmt: render_report(checkpoint, fmt) for fmt in FORMATS
+            }
+
+
 class TestFacade:
     def test_open_warehouse(self, tmp_path, shard_studies):
         with open_warehouse(tmp_path / "w.db") as handle:
